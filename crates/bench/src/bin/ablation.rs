@@ -11,19 +11,18 @@
 //!
 //! Usage: `cargo run --release -p predllc-bench --bin ablation`
 
-use predllc_bench::harness;
 use predllc_bench::{data, error};
 use predllc_bus::ArbiterPolicy;
 use predllc_cache::ReplacementKind;
 use predllc_core::analysis::{critical, WclParams};
-use predllc_core::{ConfigError, PartitionSpec, SharingMode, SimError, SystemConfig};
+use predllc_core::{ConfigError, PartitionSpec, SharingMode, SimError, Simulator, SystemConfig};
 use predllc_model::CoreId;
 use std::process::ExitCode;
 
 fn stress_run(cfg: SystemConfig, ops: usize) -> Result<(u64, u64), SimError> {
     let spec = cfg.partitions().spec_of(CoreId::new(0)).clone();
     let traces = critical::wcl_stress_traces(&spec, ops);
-    let report = harness::run(cfg, traces)?;
+    let report = Simulator::new(cfg)?.run(traces)?;
     Ok((
         report.max_request_latency().as_u64(),
         report.execution_time().as_u64(),

@@ -6,22 +6,27 @@
 //! traffic is the random baseline), while the configuration axis sweeps
 //! the banked backend's bank count under both the interleaved and the
 //! bank-privatized per-core mapping, against the seed's fixed-latency
-//! DRAM. Every grid point runs through [`predllc_bench::Sweep`], and the
-//! output is the Measurement CSV with the backend label column.
+//! DRAM. Bank counts are multiples of the core count so the privatized
+//! mapping always slices evenly. Every configuration is four cores with
+//! private `P(4,2)` LLC partitions, so DRAM effects are isolated from
+//! LLC interference, and each core strides over its own 64 KiB window
+//! (adjacent windows, so cores never share DRAM rows).
+//!
+//! The grid is the checked-in spec
+//! `crates/bench/specs/dram_sensitivity.json`; the output is its CSV
+//! with the backend label column.
 //!
 //! Usage: `cargo run --release -p predllc-bench --bin dram_sensitivity
 //! [--quick] [--ops N]`
 
-use predllc_bench::harness::render_csv_with_backend;
-use predllc_bench::{error, status, Sweep};
-use predllc_core::{MemoryConfig, PartitionSpec, SystemConfig};
-use predllc_dram::{BankMapping, DramTiming};
-use predllc_model::{CoreId, DramGeometry};
-use predllc_workload::gen::{StrideGen, UniformGen};
-use predllc_workload::MultiCore;
+use predllc_bench::figure::{self, flag, render_csv_with_backend};
+use predllc_bench::{error, status};
+use predllc_explore::{run_grid, Executor, ExperimentSpec};
 use std::process::ExitCode;
 
-const CORES: u16 = 4;
+/// The `--quick` grid: the fixed baseline and 8 banks under both
+/// mappings, on the row-streaming stride and the uniform baseline.
+const QUICK: [&str; 5] = ["fixed", "b8/il", "b8/priv", "stride/64B", "uniform/64KiB"];
 
 fn main() -> ExitCode {
     match run() {
@@ -38,48 +43,15 @@ fn main() -> ExitCode {
 fn run() -> Result<bool, Box<dyn std::error::Error>> {
     let args: Vec<String> = predllc_bench::log::init(std::env::args().collect());
     let quick = args.iter().any(|a| a == "--quick");
-    let default_ops = if quick { 200 } else { 2_000 };
-    let ops = args
-        .iter()
-        .position(|a| a == "--ops")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_ops);
-
-    // Configuration axis: fixed baseline, then bank counts × mappings.
-    // Bank counts are multiples of the core count so the privatized
-    // mapping always slices evenly.
-    let bank_counts: &[u32] = if quick { &[8] } else { &[4, 8, 16] };
-    let mut sweep = Sweep::new().config("fixed", platform(MemoryConfig::default())?);
-    for &banks in bank_counts {
-        for (tag, mapping) in [
-            ("il", BankMapping::Interleaved),
-            ("priv", BankMapping::BankPrivate),
-        ] {
-            let memory = MemoryConfig::Banked {
-                timing: DramTiming::PAPER,
-                geometry: DramGeometry::new(1, banks, 64)?,
-                mapping,
-            };
-            sweep = sweep.config(format!("b{banks}/{tag}"), platform(memory)?);
-        }
+    let mut spec = ExperimentSpec::parse(include_str!("../../specs/dram_sensitivity.json"))?;
+    if quick {
+        spec.configs.retain(|c| QUICK.contains(&c.label.as_str()));
+        spec.workloads.retain(|w| QUICK.contains(&w.label.as_str()));
     }
+    let ops = flag(&args, "--ops")?.or(quick.then_some(200));
+    figure::override_workloads(&mut spec, ops, None, None)?;
 
-    // Workload axis: stride length controls the row-hit ratio.
-    let strides: &[u64] = if quick { &[64] } else { &[64, 256, 4096] };
-    for &stride in strides {
-        sweep = sweep.workload_at(format!("stride/{stride}B"), stride, striders(stride, ops));
-    }
-    sweep = sweep.workload_at(
-        "uniform/64KiB",
-        0,
-        UniformGen::new(64 << 10, ops)
-            .with_seed(0xD8A)
-            .with_write_fraction(0.2)
-            .with_cores(CORES),
-    );
-
-    let rows = sweep.run()?;
+    let rows = run_grid(&spec, &Executor::new(0))?;
     predllc_bench::log::write_data(&render_csv_with_backend(&rows));
 
     // Soundness check: every observation stays within its row's
@@ -98,29 +70,4 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
         rows.len()
     );
     Ok(true)
-}
-
-/// The fixed platform under the swept memory backend: four cores with
-/// private `P(4,2)` LLC partitions, so DRAM effects are isolated from
-/// LLC interference.
-fn platform(memory: MemoryConfig) -> Result<SystemConfig, predllc_core::ConfigError> {
-    SystemConfig::builder(CORES)
-        .partitions(
-            CoreId::first(CORES)
-                .map(|c| PartitionSpec::private(4, 2, c))
-                .collect(),
-        )
-        .memory(memory)
-        .build()
-}
-
-/// Per-core strided sweeps over disjoint 64 KiB windows (1 MiB apart, so
-/// cores never share DRAM rows).
-fn striders(stride: u64, ops: usize) -> MultiCore {
-    let mut w = MultiCore::new();
-    for core in 0..CORES {
-        let start = u64::from(core) << 20;
-        w = w.core(StrideGen::new(start, 64 << 10, ops).with_stride(stride));
-    }
-    w
 }

@@ -3,15 +3,14 @@
 //! against the analytical WCLs (5000 cycles for SS, 979250 for NSS at 16
 //! ways / 21650 at 2 ways, 450 for P).
 //!
-//! Usage: `cargo run --release -p predllc-bench --bin fig7 [--csv] [--ops N] [--seed S]`
+//! The grid is the checked-in spec `crates/bench/specs/fig7.json`. Its
+//! partitions have one set, "to force as many conflicts as possible".
+//!
+//! Usage: `cargo run --release -p predllc-bench --bin fig7 [--csv] [--ops N] [--seed S] [--writes F]`
 
-use predllc_bench::harness::ss;
-use predllc_bench::harness::{
-    self, nss, p, paper_address_ranges, render_csv, render_table, uniform_workload, Measurement,
-    Metric,
-};
-use predllc_bench::{data, error, Sweep};
-use predllc_core::SimError;
+use predllc_bench::figure::{self, flag, render_csv, render_table};
+use predllc_bench::{data, error};
+use predllc_explore::{run_grid, Executor, ExperimentSpec, GridResult};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -25,64 +24,40 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs the sweep; `Ok(false)` means a bound-violation check failed.
-fn run() -> Result<bool, SimError> {
+/// Runs the grid; `Ok(false)` means a bound-violation check failed.
+fn run() -> Result<bool, Box<dyn std::error::Error>> {
     let args: Vec<String> = predllc_bench::log::init(std::env::args().collect());
     let csv = args.iter().any(|a| a == "--csv");
-    let ops = flag_value(&args, "--ops").unwrap_or(2_000);
-    let seed = flag_value(&args, "--seed").unwrap_or(0xF167);
-    let writes = fflag_value(&args, "--writes").unwrap_or(0.2);
-
-    // The paper's Fig. 7 configurations: one-set partitions "to force as
-    // many conflicts as possible".
-    type ConfigBuilder = fn() -> predllc_core::SystemConfig;
-    let configs: Vec<(&str, ConfigBuilder)> = vec![
-        ("SS(1,2,4)", || ss(1, 2, 4)),
-        ("SS(1,4,4)", || ss(1, 4, 4)),
-        ("NSS(1,2,4)", || nss(1, 2, 4)),
-        ("NSS(1,4,4)", || nss(1, 4, 4)),
-        ("P(1,2)", || p(1, 2, 4)),
-        ("P(1,4)", || p(1, 4, 4)),
-    ];
-
-    // One Sweep: each configuration's simulator is built once and reused
-    // across all nine streamed address-range workloads.
-    let mut sweep = Sweep::new();
-    for &(label, build) in &configs {
-        sweep = sweep.config(label, build());
-    }
-    for &range in &paper_address_ranges() {
-        sweep = sweep.workload_at(
-            format!("uniform/{range}B"),
-            range,
-            uniform_workload(range, ops as usize, seed, writes, 4),
-        );
-    }
-    let mut rows: Vec<Measurement> = sweep.run()?;
-    rows.sort_by(|a, b| (a.range, &a.label).cmp(&(b.range, &b.label)));
+    let mut spec = ExperimentSpec::parse(include_str!("../../specs/fig7.json"))?;
+    figure::override_workloads(
+        &mut spec,
+        flag(&args, "--ops")?,
+        flag(&args, "--seed")?,
+        flag(&args, "--writes")?,
+    )?;
+    let mut rows = run_grid(&spec, &Executor::new(0))?;
+    figure::sort_by_x(&mut rows);
 
     if csv {
         predllc_bench::log::write_data(&render_csv(&rows));
         return Ok(true);
     }
-    data!(
-        "{}",
-        render_table(
-            "Figure 7: observed WCL (cycles) vs per-core address range",
-            &rows,
-            Metric::ObservedWcl,
-        )
-    );
+    data!("{}", render_table(&spec.name, &rows, |r| r.observed_wcl));
     data!("Analytical WCLs (cycles):");
-    for (label, build) in &configs {
+    for c in &spec.configs {
+        let bound = rows
+            .iter()
+            .find(|r| r.config == c.label)
+            .and_then(|r| r.analytical_wcl);
         data!(
-            "  {label:<12} {}",
-            harness::analytical_wcl(&build()).map_or("-".to_string(), |v| v.to_string())
+            "  {:<12} {}",
+            c.label,
+            bound.map_or("-".to_string(), |v| v.to_string())
         );
     }
     data!();
     // The paper's criterion: every observation within its analytical WCL.
-    let violations: Vec<&Measurement> = rows
+    let violations: Vec<&GridResult> = rows
         .iter()
         .filter(|m| m.analytical_wcl.is_some_and(|a| m.observed_wcl > a))
         .collect();
@@ -97,26 +72,12 @@ fn run() -> Result<bool, SimError> {
         for v in violations {
             data!(
                 "  {} @ {} B: observed {} > analytical {}",
-                v.label,
-                v.range,
+                v.config,
+                v.x,
                 v.observed_wcl,
                 v.analytical_wcl.unwrap_or(0)
             );
         }
         Ok(false)
     }
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn fflag_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

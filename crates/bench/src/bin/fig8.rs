@@ -9,59 +9,22 @@
 //! reported (the printed one as `P`, the equal division as `P=`); see
 //! `EXPERIMENTS.md`.
 //!
-//! Usage: `cargo run --release -p predllc-bench --bin fig8 [--csv] [--ops N] [--seed S]`
+//! Each panel is a checked-in spec, `crates/bench/specs/fig8a.json` …
+//! `fig8d.json`, whose `name` is the panel title.
+//!
+//! Usage: `cargo run --release -p predllc-bench --bin fig8 [--csv] [--ops N] [--seed S] [--writes F]`
 
-use predllc_bench::harness::{
-    nss, p, paper_address_ranges, render_csv, render_table, ss, uniform_workload, Measurement,
-    Metric,
-};
-use predllc_bench::{data, error, Sweep};
-use predllc_core::{SimError, SystemConfig};
+use predllc_bench::figure::{self, flag, render_csv, render_table};
+use predllc_bench::{data, error};
+use predllc_explore::{run_grid, Executor, ExperimentSpec, GridResult};
 use std::process::ExitCode;
 
-struct Panel {
-    title: &'static str,
-    configs: Vec<(String, SystemConfig)>,
-}
-
-fn panels() -> Vec<Panel> {
-    vec![
-        Panel {
-            title: "Figure 8a: 2-core, 4096 B partition — execution time (cycles)",
-            configs: vec![
-                ("SS(32,2,2)".into(), ss(32, 2, 2)),
-                ("NSS(32,2,2)".into(), nss(32, 2, 2)),
-                ("P(8,2)".into(), p(8, 2, 2)),
-                ("P=(16,2)".into(), p(16, 2, 2)),
-            ],
-        },
-        Panel {
-            title: "Figure 8b: 2-core, 8192 B partition — execution time (cycles)",
-            configs: vec![
-                ("SS(32,4,2)".into(), ss(32, 4, 2)),
-                ("NSS(32,4,2)".into(), nss(32, 4, 2)),
-                ("P(8,4)".into(), p(8, 4, 2)),
-                ("P=(16,4)".into(), p(16, 4, 2)),
-            ],
-        },
-        Panel {
-            title: "Figure 8c: 4-core, 4096 B partition — execution time (cycles)",
-            configs: vec![
-                ("SS(32,2,4)".into(), ss(32, 2, 4)),
-                ("NSS(32,2,4)".into(), nss(32, 2, 4)),
-                ("P(8,2)".into(), p(8, 2, 4)),
-            ],
-        },
-        Panel {
-            title: "Figure 8d: 4-core, 8192 B partition — execution time (cycles)",
-            configs: vec![
-                ("SS(32,4,4)".into(), ss(32, 4, 4)),
-                ("NSS(32,4,4)".into(), nss(32, 4, 4)),
-                ("P(8,4)".into(), p(8, 4, 4)),
-            ],
-        },
-    ]
-}
+const PANELS: [&str; 4] = [
+    include_str!("../../specs/fig8a.json"),
+    include_str!("../../specs/fig8b.json"),
+    include_str!("../../specs/fig8c.json"),
+    include_str!("../../specs/fig8d.json"),
+];
 
 fn main() -> ExitCode {
     match run() {
@@ -73,56 +36,39 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), SimError> {
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = predllc_bench::log::init(std::env::args().collect());
     let csv = args.iter().any(|a| a == "--csv");
-    let ops = flag_value(&args, "--ops").unwrap_or(4_000) as usize;
-    let seed = flag_value(&args, "--seed").unwrap_or(0xF168);
-    let writes = fflag_value(&args, "--writes").unwrap_or(0.0);
+    let ops = flag(&args, "--ops")?;
+    let seed = flag(&args, "--seed")?;
+    let writes = flag(&args, "--writes")?;
 
-    for panel in panels() {
-        // Every configuration in a panel has the same core count, so one
-        // streamed workload row serves the whole panel; each config's
-        // simulator is reused across all nine ranges.
-        let cores = panel.configs[0].1.num_cores();
-        let mut sweep = Sweep::new();
-        for (label, cfg) in &panel.configs {
-            sweep = sweep.config(label.clone(), cfg.clone());
-        }
-        for &range in &paper_address_ranges() {
-            sweep = sweep.workload_at(
-                format!("uniform/{range}B"),
-                range,
-                uniform_workload(range, ops, seed, writes, cores),
-            );
-        }
-        let mut rows: Vec<Measurement> = sweep.run()?;
-        rows.sort_by(|a, b| (a.range, &a.label).cmp(&(b.range, &b.label)));
+    for panel in PANELS {
+        let mut spec = ExperimentSpec::parse(panel)?;
+        figure::override_workloads(&mut spec, ops, seed, writes)?;
+        let mut rows = run_grid(&spec, &Executor::new(0))?;
+        figure::sort_by_x(&mut rows);
 
         if csv {
             predllc_bench::log::write_data(&render_csv(&rows));
         } else {
-            data!(
-                "{}",
-                render_table(panel.title, &rows, Metric::ExecutionTime)
-            );
-            print_speedups(&panel, &rows);
+            data!("{}", render_table(&spec.name, &rows, |r| r.execution_time));
+            print_speedups(&spec, &rows);
         }
     }
     Ok(())
 }
 
 /// The paper reports SS's average speedup over NSS and P across the
-/// ranges where the address range exceeds the partition share.
-fn print_speedups(panel: &Panel, rows: &[Measurement]) {
-    let ss_label = &panel.configs[0].0;
-    for (label, _) in panel.configs.iter().skip(1) {
+/// ranges where the address range exceeds the partition share. The
+/// panel's first configuration is its SS column.
+fn print_speedups(spec: &ExperimentSpec, rows: &[GridResult]) {
+    let ss_label = &spec.configs[0].label;
+    for c in spec.configs.iter().skip(1) {
+        let label = &c.label;
         let mut ratios = Vec::new();
-        for r in rows.iter().filter(|r| &r.label == ss_label) {
-            if let Some(other) = rows
-                .iter()
-                .find(|o| &o.label == label && o.range == r.range)
-            {
+        for r in rows.iter().filter(|r| &r.config == ss_label) {
+            if let Some(other) = rows.iter().find(|o| &o.config == label && o.x == r.x) {
                 if r.execution_time > 0 {
                     ratios.push(other.execution_time as f64 / r.execution_time as f64);
                 }
@@ -134,18 +80,4 @@ fn print_speedups(panel: &Panel, rows: &[Measurement]) {
         }
     }
     data!();
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn fflag_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

@@ -1,4 +1,4 @@
-//! Experiment harness for the `predllc` reproduction.
+//! Experiment binaries for the `predllc` reproduction.
 //!
 //! The binaries regenerate the paper's figures:
 //!
@@ -13,20 +13,17 @@
 //!   full latency percentiles plus the schedulability-driven partition
 //!   search (see `predllc-explore`).
 //!
-//! [`sweep::Sweep`] is the batch-run API: a named grid of configurations
-//! × workloads, one reusable `Simulator` per configuration, individual
-//! grid points scheduled on the work-stealing
-//! [`Executor`](predllc_explore::Executor).
+//! `fig7`, `fig8` and `dram_sensitivity` are thin wrappers around
+//! checked-in specs under `crates/bench/specs/`, run through
+//! [`predllc_explore::run_grid`]; [`figure`] holds their flag parsing
+//! and renderers. The same specs run unmodified through `explore`,
+//! `serve` and `fleet`.
 //!
 //! `benches/microbench.rs` holds the (self-contained) microbenchmarks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harness;
+pub mod figure;
 pub mod log;
 pub mod monitor;
-pub mod sweep;
-
-pub use harness::Measurement;
-pub use sweep::Sweep;

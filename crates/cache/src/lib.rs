@@ -1,7 +1,6 @@
 //! Cache substrate for the `predllc` simulator: set-associative cache
 //! structures, replacement policies, and the private per-core L1/L2
-//! hierarchy. (The DRAM model moved to the `predllc-dram` crate; a
-//! deprecated [`Dram`] alias remains here.)
+//! hierarchy. (The DRAM model lives in the `predllc-dram` crate.)
 //!
 //! The shared last-level cache itself lives in `predllc-core` because its
 //! behaviour (partitioning, eviction state machine, set sequencer) *is* the
@@ -32,13 +31,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dram;
 pub mod private;
 pub mod replacement;
 pub mod set_assoc;
 
-#[allow(deprecated)]
-pub use dram::Dram;
 pub use private::{BackInvalOutcome, PrivateHierarchy, PrivateLookup, RefillEffect};
 pub use replacement::{ReplacementKind, ReplacementPolicy};
 pub use set_assoc::{Entry, SetAssocCache};

@@ -66,7 +66,7 @@ pub use backend::{MemAccess, MemRequest, MemStats, MemoryBackend, RowOutcome};
 pub use banked::BankedDram;
 pub use config::MemoryConfig;
 pub use error::DramError;
-pub use fixed::{DramStats, FixedLatency};
+pub use fixed::FixedLatency;
 pub use mapping::BankMapping;
 pub use timing::DramTiming;
 pub use worst_case::WorstCase;

@@ -3,8 +3,9 @@
 //!
 //! Grid points — not configurations — are the unit of parallelism, so
 //! one expensive configuration cannot serialize its whole row. Results
-//! come back in declaration order (configuration-major, matching
-//! `bench::Sweep`) and are bit-identical for every thread count.
+//! come back in declaration order (configuration-major) and are
+//! bit-identical for every thread count. The paper's figure binaries
+//! run their checked-in specs through this same path.
 //!
 //! Physically identical points are simulated **once**: each point's
 //! simulation inputs are fingerprinted

@@ -796,50 +796,6 @@ impl Client {
         })
     }
 
-    /// `GET /v1/experiments/{id}/results?format=csv`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Status`] for 404/409/500 answers, or any
-    /// transport failure.
-    #[deprecated(
-        since = "0.11.0",
-        note = "use `results(id, Format::Csv)` and stream it, or collapse with `.text()`"
-    )]
-    pub fn results_csv(&mut self, id: &str) -> Result<String, ClientError> {
-        self.results(id, Format::Csv)?.text()
-    }
-
-    /// `GET /v1/experiments/{id}/results?format=json`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Status`] for 404/409/500 answers, or any
-    /// transport failure.
-    #[deprecated(
-        since = "0.11.0",
-        note = "use `results(id, Format::Json)` and stream it, or collapse with `.text()`"
-    )]
-    pub fn results_json(&mut self, id: &str) -> Result<String, ClientError> {
-        self.results(id, Format::Json)?.text()
-    }
-
-    /// `GET /v1/experiments/{id}/attribution` — the attribution
-    /// artifact of a finished job that ran with `"attribution": true`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Status`] carrying the server's 404 when the
-    /// experiment is unknown **or** ran without attribution, 409 while
-    /// not yet done, or any transport failure.
-    #[deprecated(
-        since = "0.11.0",
-        note = "use `results(id, Format::Attribution)` and stream it, or collapse with `.text()`"
-    )]
-    pub fn attribution(&mut self, id: &str) -> Result<String, ClientError> {
-        self.results(id, Format::Attribution)?.text()
-    }
-
     /// `POST /v1/points` — have the server simulate (or answer from its
     /// point cache) one grid point.
     ///

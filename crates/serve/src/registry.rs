@@ -563,13 +563,16 @@ impl Metrics {
     /// Copies every counter. Reads run derived-before-source (job
     /// states first, cache counters after), the mirror image of the
     /// writers' source-before-derived order, so the job-state sum never
-    /// exceeds `cache_misses` in any observed snapshot.
+    /// exceeds `cache_misses` in any observed snapshot. The job states
+    /// themselves are read latest-first (done/failed, running, queued):
+    /// a job only moves forward, so a job that advances mid-snapshot is
+    /// missed rather than counted in two states.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            jobs_queued: self.jobs_queued.get(),
-            jobs_running: self.jobs_running.get(),
             jobs_done: self.jobs_done.get(),
             jobs_failed: self.jobs_failed.get(),
+            jobs_running: self.jobs_running.get(),
+            jobs_queued: self.jobs_queued.get(),
             cache_hits: self.cache_hits.get(),
             cache_misses: self.cache_misses.get(),
             points_simulated: self.points_simulated.get(),

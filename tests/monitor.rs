@@ -95,13 +95,18 @@ fn render_runs_concurrently_with_recording() {
         let reg = Arc::clone(&reg);
         let stop = Arc::clone(&stop);
         writers.push(std::thread::spawn(move || {
+            // Record before the first stop check: on a loaded machine
+            // the renders can finish before a writer is scheduled.
             let mut i = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 reg.counter("monitor_ops", "ops").inc();
                 reg.gauge("monitor_depth", "depth").set(i % 17);
                 reg.histogram_with("monitor_lat_ns", "lat", "thread", &t.to_string())
                     .record(Duration::from_nanos(100 + i));
                 i += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
         }));
     }

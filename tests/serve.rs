@@ -659,38 +659,6 @@ fn every_error_answer_carries_error_and_kind() {
     stop(&handle, join);
 }
 
-/// The pre-0.11 result accessors still work (one release of grace) and
-/// serve bytes identical to the streamed API they now wrap.
-#[test]
-#[allow(deprecated)]
-fn deprecated_result_wrappers_still_serve_identical_bytes() {
-    let (handle, join) = start(ServerConfig::default());
-    let mut client = Client::new(handle.addr());
-    let attributed = SPEC.replacen(
-        "\"name\": \"serve-e2e\",",
-        "\"name\": \"serve-e2e\",\n    \"attribution\": true,",
-        1,
-    );
-    let submitted = client.submit(&attributed).unwrap();
-    client
-        .wait_done(&submitted.id, Duration::from_secs(120))
-        .unwrap();
-    let id = &submitted.id;
-    assert_eq!(
-        client.results_csv(id).unwrap(),
-        fetch(&mut client, id, Format::Csv).unwrap()
-    );
-    assert_eq!(
-        client.results_json(id).unwrap(),
-        fetch(&mut client, id, Format::Json).unwrap()
-    );
-    assert_eq!(
-        client.attribution(id).unwrap(),
-        fetch(&mut client, id, Format::Attribution).unwrap()
-    );
-    stop(&handle, join);
-}
-
 #[test]
 fn shutdown_drains_every_accepted_job() {
     let (handle, join) = start(ServerConfig {
