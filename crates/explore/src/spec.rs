@@ -229,9 +229,20 @@ impl ExperimentSpec {
     /// [`SpecError`] naming the failing path for schema violations, or
     /// the byte offset for JSON syntax errors.
     pub fn parse(input: &str) -> Result<ExperimentSpec, SpecError> {
-        let doc = json::parse(input)?;
+        ExperimentSpec::from_json(&json::parse(input)?)
+    }
+
+    /// Builds a spec from an already parsed document — for callers that
+    /// need the JSON tree too (the serve registry fingerprints it
+    /// before deciding whether to build the spec at all).
+    /// [`ExperimentSpec::parse`] is `json::parse` followed by this.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Invalid`] naming the failing path.
+    pub fn from_json(doc: &Json) -> Result<ExperimentSpec, SpecError> {
         check_keys(
-            &doc,
+            doc,
             &[
                 "name",
                 "cores",
@@ -243,8 +254,8 @@ impl ExperimentSpec {
             ],
             "spec",
         )?;
-        let name = require_str(&doc, "name", "spec")?.to_string();
-        let cores = require_u64(&doc, "cores", "spec")?;
+        let name = require_str(doc, "name", "spec")?.to_string();
+        let cores = require_u64(doc, "cores", "spec")?;
         if cores == 0 || cores > u64::from(u16::MAX) {
             return Err(invalid("cores", format!("core count {cores} out of range")));
         }

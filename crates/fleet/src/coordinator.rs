@@ -17,7 +17,7 @@
 //! order with [`assemble_rows`]. Which worker computed a point, and in
 //! what order, is unobservable in the output.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,12 +27,15 @@ use std::time::{Duration, Instant};
 use predllc_explore::json::{self, Json};
 use predllc_explore::{
     assemble_rows, build_platforms, plan_grid, point_fingerprint, search_partitions, Executor,
-    ExperimentSpec, ExploreError, ExploreReport, Fingerprint, GridResult, PointMeasurement,
-    PointRequest,
+    ExperimentSpec, ExploreError, ExploreReport, GridResult, PointMeasurement, PointRequest,
 };
 use predllc_obs::expo::{self, ExpoValue};
 use predllc_obs::{fields, Compare, Rule, TraceCtx};
-use predllc_serve::{Client, ClientError, Metrics, RunOutcome, SpecRunner};
+use predllc_serve::{Client, ClientError, Metrics, PointCache, RunOutcome, SpecRunner};
+
+/// Measurements the coordinator's point cache holds — the same bound
+/// as a worker's default `ServerConfig::max_points`.
+const CACHE_POINTS: usize = 4096;
 
 /// Why a fleet run failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,8 +164,12 @@ pub struct Coordinator {
     exec: Executor,
     metrics: Arc<Metrics>,
     /// Coordinator-side point cache: fingerprints resolved by any
-    /// earlier run (whichever worker computed them).
-    cache: Mutex<HashMap<Fingerprint, PointMeasurement>>,
+    /// earlier run (whichever worker computed them), bounded FIFO at
+    /// [`CACHE_POINTS`]. Entries are the rendered exact-integer wire
+    /// form (about 250 bytes, where a parsed measurement's latency
+    /// histogram holds all its buckets, about 4 KB), parsed back on a
+    /// hit — the same round trip a worker's reply makes.
+    cache: Mutex<PointCache>,
     /// Epoch for the per-worker scrape-freshness gauge: scrape
     /// timestamps are milliseconds since coordinator construction, so
     /// they stay monotonic and wall-clock-free.
@@ -191,7 +198,7 @@ impl Coordinator {
             exec: Executor::new(config.search_threads),
             config,
             metrics,
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(PointCache::new(CACHE_POINTS)),
             scrape_epoch: Instant::now(),
         }
     }
@@ -304,9 +311,9 @@ impl Coordinator {
                     &spec.workloads[wi],
                     spec.attribution,
                 );
-                match cache.get(&fp) {
+                match cache.get(&fp).and_then(parse_measurement) {
                     Some(m) => {
-                        results[i] = Some(m.clone());
+                        results[i] = Some(m);
                         self.metrics.points_cache_shared.inc();
                     }
                     None => queue.push_back(i),
@@ -457,7 +464,7 @@ impl Coordinator {
                         self.cache
                             .lock()
                             .unwrap()
-                            .insert(point.fingerprint(), m.clone());
+                            .insert(point.fingerprint(), m.render());
                         let (done, total) = {
                             let mut st = state.lock().unwrap();
                             st.results[i] = Some(m);
@@ -835,6 +842,13 @@ impl SpecRunner for Coordinator {
     fn threads_label(&self) -> usize {
         1
     }
+}
+
+/// Parses a cached measurement back from its rendered wire form (`None`
+/// only if the entry is corrupt, which re-simulates the point).
+fn parse_measurement(rendered: &str) -> Option<PointMeasurement> {
+    let doc = json::parse(rendered).ok()?;
+    PointMeasurement::from_json(&doc).ok()
 }
 
 /// Decodes a worker's `422` body (`{"error": ..., "kind": ...}`),

@@ -52,6 +52,6 @@ pub use metrics::{Counter, Gauge, HistogramSnapshot, Registry, TimingHistogram};
 pub use series::{Collector, CollectorConfig, SampleValue, SeriesHistory, SeriesStore};
 pub use slo::{AlertState, AlertStatus, Compare, Condition, Rule, SloRuntime};
 pub use trace::{
-    fields, render_jsonl, EventKind, FieldValue, SpanGuard, TraceCtx, TraceEvent, TraceId, Tracer,
-    TRACE_HEADER,
+    fields, render_jsonl, EventKind, FieldValue, Fields, SpanGuard, TraceCtx, TraceEvent, TraceId,
+    Tracer, TRACE_HEADER,
 };

@@ -8,11 +8,23 @@
 //! the oldest event is dropped and a counter incremented, so tracing
 //! can stay on in a long-lived server without unbounded memory.
 //!
+//! Event names and field keys are `&'static str` literals at every
+//! recording call ([`Tracer::span`], [`Tracer::instant`],
+//! [`SpanGuard::field`], [`fields`]) and are stored borrowed as
+//! `Cow::Borrowed`, so naming an event or a field allocates nothing: a
+//! span with integer fields costs its field vector plus the `Begin`
+//! event's copy of it, an instant costs its field vector, and a
+//! field-less instant costs no allocation at all. Only string field
+//! values own heap. [`TraceEvent`] keeps `Cow<'static, str>` rather than
+//! `&'static str` so events parsed back from JSONL (or built by hand)
+//! can still own their names.
+//!
 //! Events serialise to JSON Lines — one object per line, parseable by
 //! any JSON parser (the workspace proves this against
 //! `predllc_explore`'s in-tree parser). Trace IDs cross process
 //! boundaries as 32-digit hex in the `X-Predllc-Trace` HTTP header.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -140,13 +152,17 @@ impl From<u64> for FieldValue {
     }
 }
 
+/// A trace event's field list: static keys, owned-or-integer values.
+pub type Fields = Vec<(Cow<'static, str>, FieldValue)>;
+
 /// One trace record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// The trace this event belongs to.
     pub trace: TraceId,
-    /// Event (span) name, e.g. `"fleet.dispatch"`.
-    pub name: String,
+    /// Event (span) name, e.g. `"fleet.dispatch"` — borrowed from the
+    /// recording call's literal.
+    pub name: Cow<'static, str>,
     /// Begin / end / instant.
     pub kind: EventKind,
     /// Nanoseconds since the recording [`Tracer`]'s epoch.
@@ -154,7 +170,7 @@ pub struct TraceEvent {
     /// Span length for [`EventKind::End`] events.
     pub dur_ns: Option<u64>,
     /// Structured key/value payload.
-    pub fields: Vec<(String, FieldValue)>,
+    pub fields: Fields,
 }
 
 impl TraceEvent {
@@ -311,13 +327,13 @@ impl Tracer {
     }
 
     /// Records an [`EventKind::Instant`] event.
-    pub fn instant(&self, trace: TraceId, name: &str, fields: Vec<(String, FieldValue)>) {
+    pub fn instant(&self, trace: TraceId, name: &'static str, fields: Fields) {
         if !self.is_enabled() {
             return;
         }
         self.record(TraceEvent {
             trace,
-            name: name.to_string(),
+            name: Cow::Borrowed(name),
             kind: EventKind::Instant,
             ts_ns: self.now_ns(),
             dur_ns: None,
@@ -327,17 +343,12 @@ impl Tracer {
 
     /// Opens a span: records the `Begin` event now and returns a guard
     /// that records the matching `End` (with duration) when dropped.
-    pub fn span<'a>(
-        &'a self,
-        trace: TraceId,
-        name: &str,
-        fields: Vec<(String, FieldValue)>,
-    ) -> SpanGuard<'a> {
+    pub fn span<'a>(&'a self, trace: TraceId, name: &'static str, fields: Fields) -> SpanGuard<'a> {
         let start = Instant::now();
         if self.is_enabled() {
             self.record(TraceEvent {
                 trace,
-                name: name.to_string(),
+                name: Cow::Borrowed(name),
                 kind: EventKind::Begin,
                 ts_ns: self.now_ns(),
                 dur_ns: None,
@@ -347,7 +358,7 @@ impl Tracer {
         SpanGuard {
             tracer: self,
             trace,
-            name: name.to_string(),
+            name,
             fields,
             start,
         }
@@ -398,15 +409,15 @@ impl Tracer {
 pub struct SpanGuard<'a> {
     tracer: &'a Tracer,
     trace: TraceId,
-    name: String,
-    fields: Vec<(String, FieldValue)>,
+    name: &'static str,
+    fields: Fields,
     start: Instant,
 }
 
 impl SpanGuard<'_> {
     /// Attaches another field to the eventual `End` event.
-    pub fn field(&mut self, key: &str, value: impl Into<FieldValue>) {
-        self.fields.push((key.to_string(), value.into()));
+    pub fn field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
+        self.fields.push((Cow::Borrowed(key), value.into()));
     }
 }
 
@@ -418,7 +429,7 @@ impl Drop for SpanGuard<'_> {
         let dur = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.tracer.record(TraceEvent {
             trace: self.trace,
-            name: std::mem::take(&mut self.name),
+            name: Cow::Borrowed(self.name),
             kind: EventKind::End,
             ts_ns: self.tracer.now_ns(),
             dur_ns: Some(dur),
@@ -444,21 +455,22 @@ impl<'a> TraceCtx<'a> {
     }
 
     /// Records an instant event on this trace.
-    pub fn instant(&self, name: &str, fields: Vec<(String, FieldValue)>) {
+    pub fn instant(&self, name: &'static str, fields: Fields) {
         self.tracer.instant(self.trace, name, fields);
     }
 
     /// Opens a span on this trace.
-    pub fn span(&self, name: &str, fields: Vec<(String, FieldValue)>) -> SpanGuard<'a> {
+    pub fn span(&self, name: &'static str, fields: Fields) -> SpanGuard<'a> {
         self.tracer.span(self.trace, name, fields)
     }
 }
 
-/// Builds a field list tersely: `fields(&[("point", 3.into())])`.
-pub fn fields(pairs: &[(&str, FieldValue)]) -> Vec<(String, FieldValue)> {
+/// Builds a field list tersely: `fields(&[("point", 3.into())])`. Keys
+/// are borrowed; only string values are copied.
+pub fn fields(pairs: &[(&'static str, FieldValue)]) -> Fields {
     pairs
         .iter()
-        .map(|(k, v)| (k.to_string(), v.clone()))
+        .map(|(k, v)| (Cow::Borrowed(*k), v.clone()))
         .collect()
 }
 
@@ -496,7 +508,7 @@ mod tests {
         assert_eq!(events[0].kind, EventKind::Begin);
         let end = events.iter().find(|e| e.kind == EventKind::End).unwrap();
         assert!(end.dur_ns.is_some());
-        assert_eq!(end.fields, vec![("points".to_string(), FieldValue::U64(7))]);
+        assert_eq!(end.fields, vec![("points".into(), FieldValue::U64(7))]);
     }
 
     #[test]
@@ -527,11 +539,11 @@ mod tests {
     fn jsonl_rendering_escapes_and_is_line_oriented() {
         let event = TraceEvent {
             trace: TraceId(0x1234),
-            name: "with \"quotes\"\nand newline".to_string(),
+            name: "with \"quotes\"\nand newline".into(),
             kind: EventKind::Instant,
             ts_ns: 42,
             dur_ns: None,
-            fields: vec![("k\\ey".to_string(), FieldValue::Str("v".to_string()))],
+            fields: vec![("k\\ey".into(), FieldValue::Str("v".to_string()))],
         };
         let line = event.render_json();
         assert!(line.contains("\\\"quotes\\\""));

@@ -106,8 +106,8 @@ pub use handler::{Dispatch, Handler, Router};
 pub use http::{Body, BodyStream, Limits, Request, Response};
 pub use registry::{Job, JobResult, JobStatus, Metrics, MetricsSnapshot, Registry, SubmitError};
 pub use server::{
-    default_rules, LocalRunner, MonitorConfig, RunOutcome, ServeMode, Server, ServerConfig,
-    ServerHandle, SpecRunner,
+    default_rules, LocalRunner, MonitorConfig, PointCache, RunOutcome, ServeMode, Server,
+    ServerConfig, ServerHandle, SpecRunner,
 };
 
 // Re-exported so service users can build specs and reports without

@@ -3,21 +3,31 @@
 //!
 //! A job's identity is the [canonical
 //! fingerprint](predllc_explore::hash::canonical_fingerprint) of its
-//! parsed spec — key-order-insensitive, whitespace-free — so two
+//! spec document — key-order-insensitive, whitespace-free — so two
 //! submissions of the same experiment (however formatted, however
-//! concurrent) share one [`Job`]. The registry's map lock is the
-//! coalescing point: the first submission inserts and runs, every later
-//! one gets the existing entry back as a cache hit and waits on (or
-//! immediately reads) the same result.
+//! concurrent) share one [`Job`]. A submission is parsed to JSON once;
+//! the content address is looked up first, and only a miss builds the
+//! [`ExperimentSpec`] from that same parsed document. The registry's
+//! map lock is the coalescing point: the first submission inserts and
+//! runs, every later one gets the existing entry back as a cache hit and
+//! waits on (or immediately reads) the same result.
 //!
 //! Simulation is deterministic, so a cached result is exactly what a
-//! re-run would produce; a finished job caches its **grid rows** (not
-//! pre-rendered documents), and the deterministic renderers in
-//! `predllc_explore::report` reproduce byte-identical CSV/JSON from
-//! them on every read — one-shot via [`JobResult::csv`]/[`JobResult::json`]
-//! or incrementally via the `*_stream` constructors, which the serve
-//! layer writes as chunked responses without materializing the whole
-//! document. The cache is **bounded**:
+//! re-run would produce. A finished job retains **only what it serves**
+//! ([`JobResult`]): its grid rows (not pre-rendered documents — the
+//! deterministic renderers in `predllc_explore::report` reproduce
+//! byte-identical CSV/JSON from them on every read, one-shot via
+//! [`JobResult::csv`]/[`JobResult::json`] or incrementally via the
+//! `*_stream` constructors, which the serve layer writes as chunked
+//! responses without materializing the whole document), the JSON
+//! report's closing tail rendered once, and the attribution artifact
+//! when one was asked for. A partition search's full candidate list is
+//! dropped when the job finishes: the served documents only ever show
+//! its winner and two counts. On the four-task, 288-candidate search of
+//! `tests/memory.rs` that list owns 41,986 bytes of heap; the tail it
+//! renders to is 91 bytes.
+//!
+//! The cache is **bounded**:
 //! past [`Registry::with_capacity`]'s limit, the oldest *finished* job
 //! is evicted to make room (an evicted experiment simply re-simulates
 //! on its next submission); when every registered job is still queued
@@ -29,11 +39,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use predllc_explore::hash::{canonical_fingerprint, Fingerprint};
-use predllc_explore::{json, report, unique_point_count, ExperimentSpec, SpecError};
-use predllc_explore::{GridResult, SearchOutcome};
+use predllc_explore::{json, report, unique_point_count, ExperimentSpec, GridResult, SpecError};
 use predllc_obs::{Counter, Gauge, Registry as MetricRegistry, TimingHistogram};
 
 use crate::http::BodyStream;
+use crate::server::RunOutcome;
 
 /// Why a submission was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,12 +92,20 @@ impl JobStatus {
 }
 
 /// The immutable outcome of a finished job: the grid rows themselves
-/// plus everything needed to render them.
+/// plus everything needed to render them, and nothing else.
 ///
 /// Rendering is deterministic, so serving re-renders (whole or
 /// streamed) instead of caching document strings — every read of the
 /// same result is byte-identical, and large results never have to
 /// exist in memory as one contiguous body.
+///
+/// What a cached job holds on the heap is its rows, its name, the
+/// rendered JSON tail and the optional attribution artifact. The
+/// partition search's per-candidate verdicts are not kept. Measured by
+/// `tests/memory.rs` on an 8-point job with a 288-candidate search:
+/// 3,726 bytes of rows plus 165 bytes for everything else, where the
+/// verdicts alone owned 41,986 bytes. That test gates the "everything
+/// else" at under 1 KB.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobResult {
     /// The spec's `name`, echoed into the JSON report head.
@@ -96,8 +114,11 @@ pub struct JobResult {
     pub threads_label: usize,
     /// The simulated grid rows (shared with streaming bodies).
     pub grid: Arc<Vec<GridResult>>,
-    /// The partition-search outcome, when the spec ran one.
-    pub search: Option<SearchOutcome>,
+    /// The closing of the JSON report, rendered once by
+    /// `report::json_tail`: the grid's `]`, the `"search"` summary
+    /// (winner and counts) when the spec ran a partition search, and
+    /// the final `}`.
+    pub json_tail: String,
     /// The attribution artifact (`report::render_attribution_json`),
     /// present only when the spec ran with `"attribution": true`.
     /// Pre-rendered (it embeds replayable witnesses, not grid rows)
@@ -111,6 +132,23 @@ pub struct JobResult {
 const CHUNK_TARGET: usize = 16 << 10;
 
 impl JobResult {
+    /// Keeps what a finished run of `spec` serves: the rows, the JSON
+    /// tail rendered from the search outcome (which is then dropped),
+    /// and the attribution artifact when the spec asked for one.
+    pub fn new(spec: &ExperimentSpec, threads_label: usize, outcome: RunOutcome) -> JobResult {
+        let attribution = spec
+            .attribution
+            .then(|| Arc::new(report::render_attribution_json(&spec.name, &outcome.grid)));
+        JobResult {
+            name: spec.name.clone(),
+            threads_label,
+            json_tail: report::json_tail(outcome.search.as_ref()),
+            grid: Arc::new(outcome.grid),
+            attribution,
+            unique_points: outcome.unique_points,
+        }
+    }
+
     /// The grid rows as CSV (`report::render_csv`), rendered on demand.
     pub fn csv(&self) -> String {
         report::render_csv(&self.grid)
@@ -119,13 +157,15 @@ impl JobResult {
     /// The full report as JSON (`report::render_json`, no wall time so
     /// re-submissions serve byte-identical documents).
     pub fn json(&self) -> String {
-        report::render_json(
-            &self.name,
-            self.threads_label,
-            None,
-            &self.grid,
-            self.search.as_ref(),
-        )
+        let mut out = report::json_head(&self.name, self.threads_label, None);
+        for (i, row) in self.grid.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&report::json_row(row));
+        }
+        out.push_str(&self.json_tail);
+        out
     }
 
     /// A pull-based body streaming exactly the bytes of
@@ -145,7 +185,7 @@ impl JobResult {
             head: Some(report::json_head(&self.name, self.threads_label, None)),
             grid: Arc::clone(&self.grid),
             next: 0,
-            tail: Some(report::json_tail(self.search.as_ref())),
+            tail: Some(self.json_tail.clone()),
         })
     }
 
@@ -658,8 +698,8 @@ impl Registry {
     /// Submits a spec document: parses and fingerprints it, then either
     /// coalesces onto the existing job for that content address (cache
     /// hit) or registers a fresh queued job (cache miss). The map lock
-    /// is held across the lookup-or-insert, so concurrent duplicate
-    /// submissions coalesce onto exactly one job.
+    /// is held across the final lookup-or-insert, so concurrent
+    /// duplicate submissions coalesce onto exactly one job.
     ///
     /// # Errors
     ///
@@ -673,6 +713,14 @@ impl Registry {
     /// Like [`Registry::submit`], stamping a freshly created job with
     /// `trace` (a cache hit keeps the existing job's trace id).
     ///
+    /// The body is parsed to JSON once. A hit is answered from the
+    /// fingerprint alone, without building the spec: the fingerprint
+    /// covers the document's whole content (all but key order and the
+    /// sign of zero, and the parser rejects duplicate keys), so a
+    /// registered address only ever belongs to a document that already
+    /// validated. A miss builds the spec from the parsed document, then
+    /// looks again under the lock before inserting.
+    ///
     /// # Errors
     ///
     /// As [`Registry::submit`].
@@ -683,15 +731,17 @@ impl Registry {
     ) -> Result<Submission, SubmitError> {
         let doc = json::parse(body).map_err(|e| SubmitError::Spec(SpecError::Json(e)))?;
         let id = canonical_fingerprint(&doc);
-        let spec = ExperimentSpec::parse(body).map_err(SubmitError::Spec)?;
+        if let Some(hit) = self.lookup_hit(&self.jobs.lock().unwrap(), &id) {
+            return Ok(hit);
+        }
+        let spec = ExperimentSpec::from_json(&doc).map_err(SubmitError::Spec)?;
+        let points_total = unique_point_count(&spec);
 
         let mut jobs = self.jobs.lock().unwrap();
-        if let Some(job) = jobs.by_id.get(&id) {
-            self.metrics.cache_hits.inc();
-            return Ok(Submission {
-                job: Arc::clone(job),
-                fresh: false,
-            });
+        // A concurrent duplicate may have registered while this one
+        // built its spec: coalesce onto it.
+        if let Some(hit) = self.lookup_hit(&jobs, &id) {
+            return Ok(hit);
         }
         if jobs.by_id.len() >= self.capacity {
             // Make room by dropping the oldest finished job; its next
@@ -708,7 +758,6 @@ impl Registry {
                 None => return Err(SubmitError::AtCapacity),
             }
         }
-        let points_total = unique_point_count(&spec);
         let job = Arc::new(Job {
             id,
             name: spec.name.clone(),
@@ -726,6 +775,16 @@ impl Registry {
         self.metrics.cache_misses.inc();
         self.metrics.jobs_queued.inc();
         Ok(Submission { job, fresh: true })
+    }
+
+    /// The cache-hit answer for `id`, counted, when it is registered.
+    fn lookup_hit(&self, jobs: &JobMap, id: &Fingerprint) -> Option<Submission> {
+        let job = jobs.by_id.get(id)?;
+        self.metrics.cache_hits.inc();
+        Some(Submission {
+            job: Arc::clone(job),
+            fresh: false,
+        })
     }
 
     /// Unregisters a freshly submitted job that will never run (the
@@ -774,7 +833,7 @@ mod tests {
             name: name.into(),
             threads_label: 1,
             grid: Arc::new(Vec::new()),
-            search: None,
+            json_tail: report::json_tail(None),
             attribution: None,
             unique_points: 1,
         }
@@ -806,7 +865,7 @@ mod tests {
             name: "stream-test".into(),
             threads_label: 4,
             grid: Arc::new((0..500).map(grid_row).collect()),
-            search: None,
+            json_tail: report::json_tail(None),
             attribution: Some(Arc::new("{\"points\":[]}".repeat(10_000))),
             unique_points: 500,
         };
@@ -842,6 +901,41 @@ mod tests {
     }
 
     #[test]
+    fn the_rendered_tail_serves_the_bytes_the_search_outcome_did() {
+        // A real search run: the finished job keeps the rendered tail,
+        // not the verdicts, and serves exactly the bytes `render_json`
+        // gives for the full outcome.
+        use crate::SpecRunner;
+        let spec = ExperimentSpec::parse(
+            r#"{
+            "name": "tail-test", "cores": 2,
+            "configs": [{"partition": {"kind": "shared", "sets": 1, "ways": 4, "mode": "SS"}}],
+            "workloads": [{"kind": "uniform", "range_bytes": 1024, "ops": 40, "seed": 1}],
+            "tasks": [{"name": "a", "core": 0, "period": 1000000, "compute": 50000, "llc_requests": 500},
+                      {"name": "b", "core": 1, "period": 2000000, "compute": 90000, "llc_requests": 900}],
+            "search": {"arrangements": ["SS", "private"], "max_sets": 2, "max_ways": 4}
+        }"#,
+        )
+        .unwrap();
+        let outcome = crate::LocalRunner::new(1)
+            .run_spec(&spec, &|_, _| {})
+            .unwrap();
+        let search = outcome.search.clone().expect("the spec searches");
+        assert!(search.evaluated.len() > 1);
+        let expected = report::render_json("tail-test", 3, None, &outcome.grid, Some(&search));
+        let result = JobResult::new(&spec, 3, outcome);
+        assert_eq!(result.json_tail, report::json_tail(Some(&search)));
+        assert!(result.json_tail.contains("\"search\":{\"winner\""));
+        assert_eq!(result.json(), expected);
+        let mut streamed = Vec::new();
+        let mut body = result.json_stream();
+        while let Some(chunk) = body.next_chunk() {
+            streamed.extend_from_slice(&chunk);
+        }
+        assert_eq!(String::from_utf8(streamed).unwrap(), expected);
+    }
+
+    #[test]
     fn duplicate_submissions_coalesce_by_content() {
         let reg = Registry::new();
         let first = reg.submit(SPEC).unwrap();
@@ -858,8 +952,10 @@ mod tests {
         assert!(!second.fresh);
         assert_eq!(first.job.id, second.job.id);
         assert!(Arc::ptr_eq(&first.job, &second.job));
+        let compact: String = SPEC.split_whitespace().collect();
+        assert!(Arc::ptr_eq(&reg.submit(&compact).unwrap().job, &first.job));
         let m = reg.metrics.snapshot();
-        assert_eq!((m.cache_misses, m.cache_hits), (1, 1));
+        assert_eq!((m.cache_misses, m.cache_hits), (1, 2));
         assert_eq!(reg.len(), 1);
         // A genuinely different spec gets its own job.
         let other = SPEC.replace("\"seed\": 1", "\"seed\": 2");
@@ -890,6 +986,19 @@ mod tests {
             reg.submit(r#"{"name": "x"}"#),
             Err(SubmitError::Spec(SpecError::Invalid { .. }))
         ));
+        // The error is the one `ExperimentSpec::parse` gives, whether
+        // the JSON or the schema is at fault.
+        for bad in [
+            "{",
+            "[1,2",
+            r#"{"name": "x"}"#,
+            &SPEC.replace("\"ops\"", "\"opz\""),
+        ] {
+            assert_eq!(
+                reg.submit(bad).unwrap_err(),
+                SubmitError::Spec(ExperimentSpec::parse(bad).unwrap_err())
+            );
+        }
         assert!(reg.is_empty());
         assert_eq!(reg.metrics.snapshot().cache_misses, 0);
     }

@@ -49,7 +49,6 @@ use predllc_obs::{
 };
 
 use predllc_explore::hash::Fingerprint;
-use predllc_explore::report::render_attribution_json;
 use predllc_explore::{
     run_spec_observed, run_spec_traced, Executor, ExperimentSpec, GridResult, SearchOutcome,
 };
@@ -321,10 +320,15 @@ impl SpecRunner for LocalRunner {
     }
 }
 
-/// The bounded content-addressed point cache shared by the point
-/// endpoints: fingerprint → rendered measurement JSON (rendered once,
-/// served byte-identically forever).
-pub(crate) struct PointCache {
+/// A bounded content-addressed point cache: fingerprint → rendered
+/// measurement JSON (rendered once, served byte-identically forever).
+///
+/// First in, first out: past `capacity` entries, each insert evicts
+/// the oldest one (an evicted point simply re-simulates). A server's
+/// point endpoints share one; a fleet coordinator keeps another for the
+/// points its workers answered.
+#[derive(Debug)]
+pub struct PointCache {
     by_fp: HashMap<Fingerprint, String>,
     /// Insertion order; eviction drops the oldest entry.
     order: VecDeque<Fingerprint>,
@@ -332,7 +336,8 @@ pub(crate) struct PointCache {
 }
 
 impl PointCache {
-    fn new(capacity: usize) -> PointCache {
+    /// An empty cache holding at most `capacity` entries (at least one).
+    pub fn new(capacity: usize) -> PointCache {
         PointCache {
             by_fp: HashMap::new(),
             order: VecDeque::new(),
@@ -340,11 +345,14 @@ impl PointCache {
         }
     }
 
-    pub(crate) fn get(&self, fp: &Fingerprint) -> Option<&str> {
+    /// The rendered measurement cached for `fp`.
+    pub fn get(&self, fp: &Fingerprint) -> Option<&str> {
         self.by_fp.get(fp).map(String::as_str)
     }
 
-    pub(crate) fn insert(&mut self, fp: Fingerprint, rendered: String) {
+    /// Caches `rendered` under `fp`, evicting the oldest entry when
+    /// full. A fingerprint already cached keeps its entry and place.
+    pub fn insert(&mut self, fp: Fingerprint, rendered: String) {
         if self.by_fp.contains_key(&fp) {
             return;
         }
@@ -801,27 +809,17 @@ fn run_jobs(shared: &Shared, rx: &Mutex<mpsc::Receiver<Arc<Job>>>) {
         };
         match outcome {
             Ok(outcome) => {
-                // The grid rows themselves are what the registry caches;
-                // result documents render lazily, chunk by chunk, when a
+                // The registry caches what the job serves: the grid rows
+                // (documents render lazily, chunk by chunk, when a
                 // client asks — identical submissions still yield
-                // identical documents (no wall time in the JSON).
+                // identical documents, no wall time in the JSON) and the
+                // search's rendered tail, not its candidate list.
                 for row in &outcome.grid {
                     if let Some(attr) = &row.attribution {
                         record_component_cycles(metrics, &attr.components);
                     }
                 }
-                let attribution = job
-                    .spec
-                    .attribution
-                    .then(|| Arc::new(render_attribution_json(&job.spec.name, &outcome.grid)));
-                let result = JobResult {
-                    name: job.spec.name.clone(),
-                    threads_label: shared.runner.threads_label(),
-                    grid: Arc::new(outcome.grid),
-                    search: outcome.search,
-                    attribution,
-                    unique_points: outcome.unique_points,
-                };
+                let result = JobResult::new(&job.spec, shared.runner.threads_label(), outcome);
                 metrics.points_simulated.add(result.unique_points as u64);
                 metrics.jobs_running.dec();
                 metrics.jobs_done.inc();
@@ -919,6 +917,31 @@ mod tests {
         let handle = server.handle();
         let join = std::thread::spawn(move || server.run().expect("serve"));
         (handle, join)
+    }
+
+    #[test]
+    fn point_cache_is_a_bounded_fifo() {
+        let fp = |n: u64| Fingerprint::from_halves(n, !n);
+        let mut cache = PointCache::new(2);
+        cache.insert(fp(1), "one".into());
+        cache.insert(fp(2), "two".into());
+        // Re-inserting a cached point keeps its entry and its place.
+        cache.insert(fp(1), "uno".into());
+        assert_eq!(cache.get(&fp(1)), Some("one"));
+        // Full: the oldest insert goes first, whatever was read since.
+        cache.insert(fp(3), "three".into());
+        assert_eq!(cache.get(&fp(1)), None);
+        assert_eq!(cache.get(&fp(2)), Some("two"));
+        assert_eq!(cache.get(&fp(3)), Some("three"));
+        cache.insert(fp(4), "four".into());
+        assert_eq!(cache.get(&fp(2)), None);
+        assert_eq!(cache.get(&fp(3)), Some("three"));
+        assert_eq!(cache.get(&fp(4)), Some("four"));
+        // A zero capacity still holds one entry.
+        let mut tiny = PointCache::new(0);
+        tiny.insert(fp(5), "five".into());
+        tiny.insert(fp(6), "six".into());
+        assert_eq!((tiny.get(&fp(5)), tiny.get(&fp(6))), (None, Some("six")));
     }
 
     #[test]

@@ -306,12 +306,34 @@ fn the_coordinator_point_cache_spans_runs_and_specs() {
     assert_eq!(snap.points_assigned, 4, "the subset re-reached the worker");
     assert_eq!(snap.points_cache_shared, 2);
 
-    // A full re-run is served entirely from the cache, byte-identically.
+    // A full re-run is served entirely from the cache (entries are the
+    // rendered wire form, parsed back on a hit), byte-identically to
+    // the first run and to in-process `run_spec`.
     let again = coordinator.run(&spec, &|_, _| {}).unwrap();
     assert_eq!(render_csv(&again.grid), render_csv(&first.grid));
+    let local = run_spec(&spec, &Executor::new(1)).unwrap();
+    assert_eq!(again.grid, local.grid);
+    assert_eq!(render_csv(&again.grid), render_csv(&local.grid));
+    assert_eq!(
+        render_json("fleet-e2e", 1, None, &again.grid, None),
+        render_json("fleet-e2e", 1, None, &local.grid, None)
+    );
     let snap = metrics.snapshot();
     assert_eq!(snap.points_assigned, 4);
     assert_eq!(snap.points_cache_shared, 6);
+
+    // Attributed points round-trip their witnesses through the cache.
+    let attributed = ExperimentSpec::parse(
+        &SPEC.replace("\"cores\": 2,", "\"cores\": 2, \"attribution\": true,"),
+    )
+    .unwrap();
+    coordinator.run(&attributed, &|_, _| {}).unwrap();
+    let assigned = metrics.snapshot().points_assigned;
+    let cached = coordinator.run(&attributed, &|_, _| {}).unwrap();
+    assert_eq!(metrics.snapshot().points_assigned, assigned);
+    let local = run_spec(&attributed, &Executor::new(1)).unwrap();
+    assert!(cached.grid.iter().all(|row| row.attribution.is_some()));
+    assert_eq!(cached.grid, local.grid);
     stop_worker(&handle, join);
 }
 

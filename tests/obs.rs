@@ -12,8 +12,8 @@ use std::time::Duration;
 
 use predllc::explore::json;
 use predllc::fleet::{Coordinator, CoordinatorConfig};
-use predllc::obs::trace::{render_jsonl, EventKind, FieldValue, TraceEvent};
-use predllc::obs::{expo, Registry, TraceCtx, TraceId, Tracer};
+use predllc::obs::trace::{render_jsonl, EventKind, FieldValue, Fields, TraceEvent};
+use predllc::obs::{expo, fields, Registry, TraceCtx, TraceId, Tracer};
 use predllc::serve::{Client, Metrics, Server, ServerConfig, ServerHandle};
 use predllc::ExperimentSpec;
 
@@ -108,14 +108,7 @@ fn registry_render_validates_whatever_gets_registered() {
 }
 
 /// The bits a `TraceEvent` carries, as recovered from one JSONL line.
-type ParsedEvent = (
-    TraceId,
-    String,
-    EventKind,
-    u64,
-    Option<u64>,
-    Vec<(String, FieldValue)>,
-);
+type ParsedEvent = (TraceId, String, EventKind, u64, Option<u64>, Fields);
 
 /// Parses one JSONL line back into the bits a `TraceEvent` carries.
 fn parse_event(line: &str) -> ParsedEvent {
@@ -136,7 +129,7 @@ fn parse_event(line: &str) -> ParsedEvent {
                         Some(n) => FieldValue::U64(n),
                         None => FieldValue::Str(val.as_str().unwrap().to_string()),
                     };
-                    (k.clone(), fv)
+                    (k.clone().into(), fv)
                 })
                 .collect()
         })
@@ -173,23 +166,23 @@ fn trace_jsonl_round_trips_through_a_real_json_parser() {
             1 => EventKind::End,
             _ => EventKind::Instant,
         };
-        let mut fs: Vec<(String, FieldValue)> = Vec::new();
+        let mut fs: Fields = Vec::new();
         for f in 0..(rng() % 4) {
             // Suffix with the field index: JSON objects (and the
             // workspace parser) require unique keys.
             let k = format!("{}#{f}", nasty[(rng() % nasty.len() as u64) as usize]);
             if rng() % 2 == 0 {
-                fs.push((k, FieldValue::U64(rng())));
+                fs.push((k.into(), FieldValue::U64(rng())));
             } else {
                 fs.push((
-                    k,
+                    k.into(),
                     FieldValue::Str(nasty[(rng() % nasty.len() as u64) as usize].to_string()),
                 ));
             }
         }
         events.push(TraceEvent {
             trace: TraceId(((rng() as u128) << 64) | rng() as u128),
-            name: nasty[(rng() % nasty.len() as u64) as usize].to_string(),
+            name: nasty[(rng() % nasty.len() as u64) as usize].into(),
             kind,
             ts_ns: if i % 7 == 0 { u64::MAX } else { rng() },
             dur_ns: (kind == EventKind::End).then(&mut rng),
@@ -210,6 +203,48 @@ fn trace_jsonl_round_trips_through_a_real_json_parser() {
         assert_eq!(dur_ns, event.dur_ns);
         assert_eq!(fs, event.fields);
     }
+}
+
+#[test]
+fn recorded_events_render_the_golden_jsonl_lines() {
+    // One begin, one end and one instant, recorded through the real
+    // span/field/instant path, render exactly these lines. Timestamps
+    // and the duration are wall-clock readings, so they are pinned
+    // before rendering; everything else comes from the recording calls.
+    let tracer = Tracer::new();
+    let trace = TraceId(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210);
+    {
+        let mut span = tracer.span(
+            trace,
+            "explore.point",
+            fields(&[
+                ("point", 3u64.into()),
+                ("config", "SS-1x16".into()),
+                ("workload", "u/4KiB \"hot\"".into()),
+            ]),
+        );
+        span.field("queue_wait_ns", 42u64);
+    }
+    tracer.instant(
+        trace,
+        "serve.job.submitted",
+        fields(&[("job", "ab12".into()), ("cached", 0u64.into())]),
+    );
+    let mut events = tracer.snapshot_trace(trace);
+    assert_eq!(events.len(), 3);
+    for (i, e) in events.iter_mut().enumerate() {
+        e.ts_ns = 1_000 * (i as u64 + 1);
+        if e.kind == EventKind::End {
+            e.dur_ns = Some(777);
+        }
+    }
+    let golden = [
+        r#"{"trace":"0123456789abcdeffedcba9876543210","name":"explore.point","kind":"begin","ts_ns":1000,"fields":{"point":3,"config":"SS-1x16","workload":"u/4KiB \"hot\""}}"#,
+        r#"{"trace":"0123456789abcdeffedcba9876543210","name":"explore.point","kind":"end","ts_ns":2000,"dur_ns":777,"fields":{"point":3,"config":"SS-1x16","workload":"u/4KiB \"hot\"","queue_wait_ns":42}}"#,
+        r#"{"trace":"0123456789abcdeffedcba9876543210","name":"serve.job.submitted","kind":"instant","ts_ns":3000,"fields":{"job":"ab12","cached":0}}"#,
+    ];
+    let text = render_jsonl(&events);
+    assert_eq!(text.lines().collect::<Vec<_>>(), golden);
 }
 
 #[test]
@@ -299,7 +334,7 @@ fn one_trace_id_spans_coordinator_and_worker_events() {
     // the one trace id, with durations on the span ends.
     let local = tracer.snapshot_trace(trace);
     assert!(!local.is_empty());
-    let names: Vec<&str> = local.iter().map(|e| e.name.as_str()).collect();
+    let names: Vec<&str> = local.iter().map(|e| &*e.name).collect();
     assert!(names.contains(&"fleet.dispatch"), "{names:?}");
     assert!(names.contains(&"fleet.merge"), "{names:?}");
     assert!(local

@@ -339,15 +339,23 @@ fn http_error_paths_answer_cleanly() {
     let mut client = Client::new(handle.addr());
 
     // Invalid JSON and schema violations → 400 with the parser's story,
-    // in the `{"error", "kind"}` shape.
+    // in the `{"error", "kind"}` shape, word for word what
+    // `ExperimentSpec::parse` says.
     for bad in [
         "{",
         r#"{"name": "x"}"#,
         r#"{"name":"x","cores":2,"configz":[]}"#,
+        r#"{"name":"x","cores":2,"configs":[],"workloads":[{"kind":"uniform"}]}"#,
     ] {
         match client.submit(bad) {
             Err(ClientError::Status { status: 400, body }) => {
                 assert_error_shape(&body, "spec");
+                let doc = predllc::explore::json::parse(&body).unwrap();
+                let expected = ExperimentSpec::parse(bad).unwrap_err().to_string();
+                assert_eq!(
+                    doc.get("error").and_then(|e| e.as_str()),
+                    Some(expected.as_str())
+                );
             }
             other => panic!("expected 400 for {bad:?}, got {other:?}"),
         }
