@@ -5,8 +5,9 @@
 //! Each benchmark runs a warm-up pass, then a measured batch, and prints
 //! mean wall time per iteration. Groups:
 //!
-//! * `cache` — set-associative fill/lookup and replacement-policy victim
-//!   selection;
+//! * `cache` — set-associative fill/lookup, and per replacement policy a
+//!   full `PAPER_L3` cache's victim selection: evict-and-refill (the
+//!   private levels' path) and an entry-predicate choice (the LLC's);
 //! * `sequencer` — QLT/SQ operations;
 //! * `llc` — hit and fill service paths of the shared-LLC controller;
 //! * `engine` — end-to-end runs for the three partitioning families,
@@ -21,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use predllc_cache::{ReplacementKind, SetAssocCache};
 use predllc_core::analysis::WclParams;
-use predllc_core::llc::SharedLlc;
+use predllc_core::llc::{LineState, LlcMeta, SharedLlc, SharerSet};
 use predllc_core::{
     PartitionMap, PartitionSpec, SetSequencer, SharingMode, Simulator, SystemConfig,
 };
@@ -79,10 +80,32 @@ fn bench_cache(scale: u32) {
         ReplacementKind::RoundRobin,
         ReplacementKind::Random { seed: 1 },
     ] {
-        let mut policy = kind.build(CacheGeometry::PAPER_L3);
-        let eligible = vec![true; 16];
-        bench(&format!("victim_{kind}"), 16, 4_000 * scale, || {
-            policy.choose_victim(black_box(SetIdx(3)), black_box(&eligible))
+        // A full PAPER_L3 cache of LLC entries, refilled with fresh lines
+        // so it stays full.
+        let mut cache = SetAssocCache::new(CacheGeometry::PAPER_L3, kind);
+        let valid = LlcMeta {
+            sharers: SharerSet::EMPTY,
+            state: LineState::Valid,
+        };
+        let lines = CacheGeometry::PAPER_L3.lines();
+        for i in 0..lines {
+            cache.fill(LineAddr::new(i), false, valid);
+        }
+        let mut next = lines;
+        bench(&format!("victim_refill_{kind}"), 16, 4_000 * scale, || {
+            let line = LineAddr::new(next);
+            next += 1;
+            let victim = cache.evict_victim_in(cache.set_of(line));
+            cache.fill(black_box(line), false, valid);
+            victim
+        });
+        // The LLC's path: a predicate over entries, one of them
+        // mid-eviction.
+        let set = SetIdx(3);
+        let way = cache.choose_victim(set, |_| true).expect("full set");
+        cache.entry_mut(set, way).expect("occupied").meta.state = LineState::Evicting;
+        bench(&format!("victim_choose_{kind}"), 16, 4_000 * scale, || {
+            cache.choose_victim(black_box(set), |e| e.meta.state == LineState::Valid)
         });
     }
 }

@@ -1,8 +1,9 @@
-//! Golden-output tests for the figure binaries, plus a parse check of
-//! every checked-in spec.
+//! Golden-output tests for the figure binaries and the ablation study,
+//! plus a parse check of every checked-in spec.
 //!
 //! The golden files under `tests/golden/` are the exact stdout of the
-//! figure binaries at small op counts. Any drift in a figure's bytes —
+//! figure binaries at small op counts (and of `ablation` at its fixed
+//! size). Any drift in a figure's bytes —
 //! from the specs, the grid runner, the engine or the renderers — fails
 //! here. To regenerate one after an intended change, run the command
 //! named in its test and redirect stdout over the file.
@@ -57,6 +58,16 @@ fn dram_sensitivity_quick_matches_golden() {
         env!("CARGO_BIN_EXE_dram_sensitivity"),
         &["--quick", "--ops", "50"],
         include_str!("golden/dram_sensitivity_quick_ops50.csv"),
+    );
+}
+
+/// The only end-to-end run of all four LLC replacement policies.
+#[test]
+fn ablation_matches_golden() {
+    assert_golden(
+        env!("CARGO_BIN_EXE_ablation"),
+        &[],
+        include_str!("golden/ablation.txt"),
     );
 }
 

@@ -9,8 +9,8 @@
 //!
 //! The paper's analysis is explicitly agnostic of the replacement policy
 //! ("we assume a replacement policy that can select any of the cache
-//! lines", §4.3), so [`replacement`] provides several interchangeable
-//! policies behind one trait.
+//! lines", §4.3), so [`replacement`] offers four policies, selected per
+//! cache by a [`ReplacementKind`].
 //!
 //! # Examples
 //!
@@ -36,5 +36,5 @@ pub mod replacement;
 pub mod set_assoc;
 
 pub use private::{BackInvalOutcome, PrivateHierarchy, PrivateLookup, RefillEffect};
-pub use replacement::{ReplacementKind, ReplacementPolicy};
+pub use replacement::ReplacementKind;
 pub use set_assoc::{Entry, SetAssocCache};

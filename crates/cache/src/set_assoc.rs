@@ -6,17 +6,13 @@
 //! eviction state machine).
 //!
 //! The storage is a single flat slot array (`set × ways + way`) with the
-//! replacement bookkeeping inlined as flat per-way state, so the hit path
-//! — the hottest loop of the whole simulator — is one bounded scan with no
-//! pointer chasing and no dynamic dispatch. Replacement behaviour is
-//! bit-identical to the boxed [`ReplacementPolicy`](crate::replacement)
-//! implementations (same victim order, same tie-breaking, same
-//! deterministic random sequence); the trait remains available for
-//! external experimentation.
+//! replacement bookkeeping ([`crate::replacement`]) kept as flat per-way
+//! state, so the hit path — the hottest loop of the whole simulator — is
+//! one bounded scan with no pointer chasing and no dynamic dispatch.
 
 use predllc_model::{CacheGeometry, LineAddr, SetIdx, WayIdx};
 
-use crate::replacement::ReplacementKind;
+use crate::replacement::{ReplacementKind, Replacer};
 
 /// One occupied cache line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,169 +23,6 @@ pub struct Entry<T> {
     pub dirty: bool,
     /// Caller-defined metadata (sharers, eviction state, …).
     pub meta: T,
-}
-
-/// Inlined replacement state: the same policies as
-/// [`crate::replacement`], stored flat and dispatched by a match instead
-/// of a vtable. Victim selection and recency updates are byte-for-byte
-/// the boxed policies' behaviour.
-#[derive(Debug)]
-enum Replacer {
-    /// LRU (`refresh_on_hit`) and FIFO (`!refresh_on_hit`): a per-way
-    /// last-use/fill stamp driven by one monotonically increasing clock;
-    /// the eligible way with the smallest stamp is the victim (ties to
-    /// the lowest way, matching `min_by_key`).
-    Stamped {
-        refresh_on_hit: bool,
-        /// `stamp[set * ways + way]`; 0 means "never used".
-        stamp: Vec<u64>,
-        clock: u64,
-    },
-    /// Round-robin pointer per set.
-    RoundRobin { next: Vec<usize> },
-    /// Deterministic xorshift64* selection.
-    Random { state: u64 },
-}
-
-impl Replacer {
-    fn new(kind: ReplacementKind, sets: usize, ways: usize) -> Self {
-        match kind {
-            ReplacementKind::Lru => Replacer::Stamped {
-                refresh_on_hit: true,
-                stamp: vec![0; sets * ways],
-                clock: 0,
-            },
-            ReplacementKind::Fifo => Replacer::Stamped {
-                refresh_on_hit: false,
-                stamp: vec![0; sets * ways],
-                clock: 0,
-            },
-            ReplacementKind::RoundRobin => Replacer::RoundRobin {
-                next: vec![0; sets],
-            },
-            ReplacementKind::Random { seed } => {
-                // Scramble the seed with splitmix64 so that nearby seeds
-                // diverge and zero never becomes the xorshift state
-                // (identical to `replacement::XorShiftRandom`).
-                let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^= z >> 31;
-                Replacer::Random { state: z | 1 }
-            }
-        }
-    }
-
-    #[inline]
-    fn on_fill(&mut self, slot: usize) {
-        if let Replacer::Stamped { stamp, clock, .. } = self {
-            *clock += 1;
-            stamp[slot] = *clock;
-        }
-    }
-
-    #[inline]
-    fn on_hit(&mut self, slot: usize) {
-        if let Replacer::Stamped {
-            refresh_on_hit: true,
-            stamp,
-            clock,
-        } = self
-        {
-            *clock += 1;
-            stamp[slot] = *clock;
-        }
-    }
-
-    #[inline]
-    fn on_invalidate(&mut self, slot: usize) {
-        if let Replacer::Stamped { stamp, .. } = self {
-            stamp[slot] = 0;
-        }
-    }
-
-    /// Victim selection with every way eligible — the private-cache fill
-    /// path, where no way is ever excluded. Bit-identical to
-    /// `choose_victim(set, ways, &[true; ways])` without materializing
-    /// the mask.
-    fn choose_victim_all(&mut self, set: usize, ways: usize) -> Option<WayIdx> {
-        if ways == 0 {
-            return None;
-        }
-        match self {
-            Replacer::Stamped { stamp, .. } => {
-                let stamps = &stamp[set * ways..(set + 1) * ways];
-                let mut best = 0usize;
-                for (w, &s) in stamps.iter().enumerate().skip(1) {
-                    if s < stamps[best] {
-                        best = w;
-                    }
-                }
-                Some(WayIdx(best as u32))
-            }
-            Replacer::RoundRobin { next } => {
-                let w = next[set] % ways;
-                next[set] = (w + 1) % ways;
-                Some(WayIdx(w as u32))
-            }
-            Replacer::Random { state } => {
-                let mut x = *state;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                *state = x;
-                let pick = (x.wrapping_mul(0x2545_f491_4f6c_dd1d) % ways as u64) as usize;
-                Some(WayIdx(pick as u32))
-            }
-        }
-    }
-
-    fn choose_victim(&mut self, set: usize, ways: usize, eligible: &[bool]) -> Option<WayIdx> {
-        match self {
-            Replacer::Stamped { stamp, .. } => {
-                let stamps = &stamp[set * ways..set * ways + eligible.len().min(ways)];
-                eligible
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &e)| e)
-                    .min_by_key(|(w, _)| stamps[*w])
-                    .map(|(w, _)| WayIdx(w as u32))
-            }
-            Replacer::RoundRobin { next } => {
-                let n = eligible.len();
-                if n == 0 {
-                    return None;
-                }
-                let start = next[set] % n;
-                for i in 0..n {
-                    let w = (start + i) % n;
-                    if eligible[w] {
-                        next[set] = (w + 1) % n;
-                        return Some(WayIdx(w as u32));
-                    }
-                }
-                None
-            }
-            Replacer::Random { state } => {
-                let count = eligible.iter().filter(|&&e| e).count();
-                if count == 0 {
-                    return None;
-                }
-                let mut x = *state;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                *state = x;
-                let pick = (x.wrapping_mul(0x2545_f491_4f6c_dd1d) % count as u64) as usize;
-                eligible
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &e)| e)
-                    .nth(pick)
-                    .map(|(w, _)| WayIdx(w as u32))
-            }
-        }
-    }
 }
 
 /// A set-associative cache with pluggable replacement and per-line
@@ -403,8 +236,8 @@ impl<T> SetAssocCache<T> {
             None => {
                 let way = self
                     .replacer
-                    .choose_victim_all(set, self.ways)
-                    .expect("replacement policy must pick a victim from a full mask")
+                    .choose_victim(set, self.ways, |_| true)
+                    .expect("replacement policy must pick a victim from a full set")
                     .as_usize();
                 let old = self.slots[base + way].take();
                 self.replacer.on_invalidate(base + way);
@@ -450,26 +283,34 @@ impl<T> SetAssocCache<T> {
         self.take(set, way)
     }
 
-    /// Chooses a victim way in `set` among ways where `eligible` is true.
+    /// Chooses a victim way in `set` among the occupied ways whose entry
+    /// satisfies `eligible`, or `None` if there is none. An empty way is
+    /// never eligible.
     ///
-    /// Exposed for the LLC, which restricts eligibility to the active
-    /// partition's ways minus lines that are already mid-eviction.
-    pub fn choose_victim(&mut self, set: SetIdx, eligible: &[bool]) -> Option<WayIdx> {
-        self.replacer
-            .choose_victim(set.as_usize(), self.ways, eligible)
+    /// Exposed for the LLC, which excludes lines that are already
+    /// mid-eviction.
+    pub fn choose_victim(
+        &mut self,
+        set: SetIdx,
+        eligible: impl Fn(&Entry<T>) -> bool,
+    ) -> Option<WayIdx> {
+        let base = set.as_usize() * self.ways;
+        let slots = &self.slots[base..base + self.ways];
+        self.replacer.choose_victim(set.as_usize(), self.ways, |w| {
+            slots[w].as_ref().is_some_and(&eligible)
+        })
     }
 
     /// Chooses a victim with every way eligible and removes it from the
-    /// cache — the conventional fill path's eviction, without the caller
-    /// having to materialize an all-`true` eligibility mask. Returns
-    /// `None` only when the set has an empty way (nothing to evict).
+    /// cache — the conventional fill path's eviction. Returns `None`
+    /// only when the set has an empty way (nothing to evict).
     pub fn evict_victim_in(&mut self, set: SetIdx) -> Option<Entry<T>> {
         if self.free_way_in(set).is_some() {
             return None;
         }
         let way = self
             .replacer
-            .choose_victim_all(set.as_usize(), self.ways)
+            .choose_victim(set.as_usize(), self.ways, |_| true)
             .expect("replacement policy must pick a victim from a full set");
         self.take(set, way)
     }
@@ -679,6 +520,23 @@ mod tests {
     }
 
     #[test]
+    fn choose_victim_tests_the_predicate_against_occupied_entries_only() {
+        let mut c = small();
+        // Only way 0 of set 0 is occupied; way 1 is empty, so even an
+        // always-true predicate can pick nothing else.
+        c.fill(L0, false, 1);
+        assert_eq!(c.choose_victim(SetIdx(0), |_| true), Some(WayIdx(0)));
+        assert_eq!(c.choose_victim(SetIdx(1), |_| true), None);
+        // The LRU line (L0, meta 1) is ineligible: the other is chosen.
+        c.fill(L2, false, 2);
+        assert_eq!(c.choose_victim(SetIdx(0), |e| e.meta == 2), Some(WayIdx(1)));
+        assert_eq!(c.choose_victim(SetIdx(0), |_| false), None);
+        // Choosing a victim neither removes nor touches it.
+        assert_eq!(c.occupancy(), 2);
+        assert_eq!(c.evict_victim_in(SetIdx(0)).unwrap().line, L0);
+    }
+
+    #[test]
     fn non_power_of_two_sets_index_by_modulo() {
         let mut c: SetAssocCache<()> =
             SetAssocCache::new(CacheGeometry::new(3, 1, 64).unwrap(), ReplacementKind::Lru);
@@ -686,51 +544,5 @@ mod tests {
         c.fill(LineAddr::new(7), false, ());
         assert!(c.contains(LineAddr::new(7)));
         assert_eq!(c.way_of(LineAddr::new(4)), None);
-    }
-
-    /// The inlined replacer must reproduce the boxed policies' victim
-    /// sequences exactly — same stamps, same rotation, same xorshift
-    /// stream.
-    #[test]
-    fn inlined_replacers_match_boxed_policies() {
-        for kind in [
-            ReplacementKind::Lru,
-            ReplacementKind::Fifo,
-            ReplacementKind::RoundRobin,
-            ReplacementKind::Random { seed: 99 },
-        ] {
-            let g = CacheGeometry::new(4, 4, 64).unwrap();
-            let mut cache: SetAssocCache<()> = SetAssocCache::new(g, kind);
-            let mut boxed = kind.build(g);
-            // Drive an identical access pattern through both.
-            let mut x = 12345u64;
-            for _ in 0..500 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let set = SetIdx((x >> 33) as u32 % 4);
-                let way = WayIdx((x >> 20) as u32 % 4);
-                match x % 4 {
-                    0 => {
-                        cache.replacer.on_fill(cache.slot_index(set, way));
-                        boxed.on_fill(set, way);
-                    }
-                    1 => {
-                        cache.touch(set, way);
-                        boxed.on_hit(set, way);
-                    }
-                    2 => {
-                        cache.replacer.on_invalidate(cache.slot_index(set, way));
-                        boxed.on_invalidate(set, way);
-                    }
-                    _ => {
-                        let mask: Vec<bool> = (0..4).map(|w| (x >> w) & 1 == 1).collect();
-                        assert_eq!(
-                            cache.choose_victim(set, &mask),
-                            boxed.choose_victim(set, &mask),
-                            "victim divergence under {kind:?}"
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -29,7 +29,7 @@
 //! pending request.
 
 use predllc_bus::WbKind;
-use predllc_cache::{ReplacementKind, SetAssocCache};
+use predllc_cache::{Entry, ReplacementKind, SetAssocCache};
 use predllc_dram::{MemAccess, MemRequest, MemStats, MemoryBackend};
 use predllc_model::{CoreId, Cycles, LineAddr, PartitionId, SetIdx, WayIdx};
 
@@ -110,6 +110,14 @@ pub struct LlcMeta {
     pub sharers: SharerSet,
     /// Lifecycle state.
     pub state: LineState,
+}
+
+/// Whether an LLC entry may be chosen as an eviction victim: it is valid,
+/// not already mid-eviction. The one rule behind both
+/// [`SharedLlc::probe`]'s dry run and [`SharedLlc::service`]'s victim
+/// choice, so the two cannot drift apart.
+fn evictable(entry: &Entry<LlcMeta>) -> bool {
+    entry.meta.state == LineState::Valid
 }
 
 /// One pending (unanswered) LLC request.
@@ -400,12 +408,7 @@ impl SharedLlc {
         {
             return Probe::Stuck;
         }
-        let has_eligible_victim = (0..p.cache.geometry().ways()).any(|w| {
-            p.cache
-                .entry(set, WayIdx(w))
-                .is_some_and(|e| e.meta.state == LineState::Valid)
-        });
-        if has_eligible_victim {
+        if p.cache.iter_set(set).any(|(_, e)| evictable(e)) {
             Probe::WouldTrigger
         } else {
             Probe::Stuck
@@ -562,15 +565,7 @@ impl SharedLlc {
             result.outcome = ServiceOutcome::Blocked(blocked_reason);
             return result;
         }
-        let ways = p.cache.geometry().ways() as usize;
-        let eligible: Vec<bool> = (0..ways)
-            .map(|w| {
-                p.cache
-                    .entry(set, WayIdx(w as u32))
-                    .is_some_and(|e| e.meta.state == LineState::Valid)
-            })
-            .collect();
-        let Some(victim_way) = p.cache.choose_victim(set, &eligible) else {
+        let Some(victim_way) = p.cache.choose_victim(set, evictable) else {
             result.outcome = ServiceOutcome::Blocked(if is_head {
                 BlockReason::AllWaysEvicting
             } else {

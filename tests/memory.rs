@@ -9,13 +9,19 @@
 //!   1 KB — not the search's per-candidate verdicts.
 //! * Recording a span or an instant with literal names and keys and
 //!   integer fields allocates only the field vectors.
+//! * A steady-state shared-LLC eviction allocates only its result's
+//!   invalidation list and the set sequencer's queue; choosing the
+//!   victim allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use predllc::dram::FixedLatency;
+use predllc::model::{CacheGeometry, CoreId, Cycles, LineAddr};
 use predllc::obs::{fields, TraceId, Tracer};
 use predllc::serve::{JobResult, LocalRunner, RunOutcome, SpecRunner};
-use predllc::ExperimentSpec;
+use predllc::sim::llc::{ResponseKind, ServiceOutcome, SharedLlc};
+use predllc::{ExperimentSpec, PartitionMap, PartitionSpec, ReplacementKind, SharingMode};
 
 /// Counts allocations and freed bytes per thread, then defers to the
 /// system allocator.
@@ -158,4 +164,60 @@ fn spans_and_instants_allocate_only_their_field_vectors() {
 
     let bare = allocations_in(|| tracer.instant(trace, "tick", Vec::new()));
     assert_eq!(bare, 0);
+}
+
+#[test]
+fn a_steady_state_llc_eviction_allocates_only_its_invalidations_and_queue() {
+    for kind in [
+        ReplacementKind::Lru,
+        ReplacementKind::Fifo,
+        ReplacementKind::RoundRobin,
+        ReplacementKind::Random { seed: 7 },
+    ] {
+        // An SS 8-set x 4-way partition shared by 4 cores: once its 32
+        // lines are full, every miss evicts.
+        let map = PartitionMap::new(
+            vec![PartitionSpec::shared(
+                8,
+                4,
+                CoreId::first(4).collect(),
+                SharingMode::SetSequencer,
+            )],
+            4,
+            CacheGeometry::PAPER_L3,
+        )
+        .unwrap();
+        let mut llc = SharedLlc::new(map, 64, kind, Box::new(FixedLatency::default()));
+        // The cores take turns missing on fresh lines. A lone requester
+        // heads its set's queue and every private copy is clean, so each
+        // miss evicts and refills within its own slot.
+        let mut miss = |i: u64| {
+            let result = llc.service(
+                CoreId::new((i % 4) as u16),
+                LineAddr::new(i),
+                Cycles::ZERO,
+                &mut |_, _| false,
+            );
+            assert_eq!(
+                result.outcome,
+                ServiceOutcome::Responded(ResponseKind::Fill)
+            );
+            result.eviction.is_some()
+        };
+        for i in 0..2_000 {
+            miss(i);
+        }
+
+        let evictions = 10_000;
+        let mut evicted = 0;
+        let allocations = allocations_in(|| {
+            for i in 2_000..2_000 + evictions {
+                evicted += u64::from(miss(i));
+            }
+        });
+        assert_eq!(evicted, evictions, "{kind}");
+        // Per eviction: the result's invalidation list and the set's
+        // sequencer queue, re-created after it drained.
+        assert_eq!(allocations, 2 * evictions, "{kind}");
+    }
 }
