@@ -113,7 +113,7 @@ fn bench_cache(scale: u32) {
 fn bench_sequencer(scale: u32) {
     println!("-- sequencer --");
     bench("enqueue_pop_16_cores", 2, 400 * scale, || {
-        let mut sq = SetSequencer::new();
+        let mut sq = SetSequencer::new(8);
         for s in 0..8u32 {
             for core in 0..16u16 {
                 sq.enqueue(SetIdx(s), CoreId::new(core));

@@ -1,6 +1,6 @@
 //! Engine throughput benchmark and perf-regression gate.
 //!
-//! Runs a fixed set of hit-heavy workloads through **both** simulation
+//! Runs a fixed set of workloads through **both** simulation
 //! engines — the slot-by-slot reference loop and the fast-forward loop —
 //! verifies their [`predllc_core::SimStats`] are byte-for-byte identical,
 //! and reports ops/sec plus the fast/reference speedup. The headline
@@ -8,7 +8,9 @@
 //! tenants behind `predllc-serve` style consolidation, 1M operations
 //! total, ~97% LLC hits — the regime in which the reference engine's
 //! `O(cores)` work per bus slot dominates and fast-forward's
-//! `O(log cores)` calendar pays off.
+//! `O(log cores)` calendar pays off. One miss-heavy workload
+//! (`llc-miss-ss-4c`, informational) times the shared-LLC eviction path:
+//! miss, evict, back-invalidate, refill.
 //!
 //! ```text
 //! engine_perf [--quick] [--out BENCH_engine.json]
@@ -39,17 +41,17 @@ use std::time::Instant;
 use predllc_bench::{data, error, status};
 use predllc_core::config::EngineMode;
 use predllc_core::EngineProfile;
-use predllc_core::{PartitionSpec, Simulator, SystemConfig};
+use predllc_core::{PartitionSpec, SharingMode, Simulator, SystemConfig};
 use predllc_explore::json::{parse, Json};
 use predllc_model::{CacheGeometry, CoreId};
-use predllc_workload::gen::{HotColdGen, StrideGen};
-use predllc_workload::MultiCore;
+use predllc_workload::gen::{HotColdGen, StrideGen, UniformGen};
+use predllc_workload::{MultiCore, Workload};
 
 /// One benchmarked workload: a name, a config family and a workload.
 struct Scenario {
     name: &'static str,
     config: Box<dyn Fn(EngineMode) -> SystemConfig>,
-    workload: MultiCore,
+    workload: Box<dyn Workload>,
     /// Total operations across all cores (for ops/sec).
     total_ops: u64,
 }
@@ -87,7 +89,7 @@ fn private_hit_scenario(ops_per_core: usize) -> Scenario {
                 .build()
                 .expect("valid benchmark configuration")
         }),
-        workload: wl,
+        workload: Box::new(wl),
         total_ops: ops_per_core as u64 * u64::from(cores),
     }
 }
@@ -124,8 +126,39 @@ fn llc_hit_scenario(tenants: u16, total_ops: usize) -> Scenario {
                 .build()
                 .expect("valid benchmark configuration")
         }),
-        workload: wl,
+        workload: Box::new(wl),
         total_ops: per_core as u64 * u64::from(tenants),
+    }
+}
+
+/// The 4-core shared-LLC miss-heavy workload: four cores share one SS
+/// 8x16 partition (8 KiB) over uniform 16 KiB-per-core working sets with
+/// 20% writes, so nearly every LLC request misses and evicts a line
+/// another core may hold — the paper's eviction protocol under the set
+/// sequencer, slot after slot.
+fn llc_miss_scenario(ops_per_core: usize) -> Scenario {
+    let cores = 4u16;
+    Scenario {
+        name: "llc-miss-ss-4c",
+        config: Box::new(move |mode| {
+            SystemConfig::builder(cores)
+                .partitions(vec![PartitionSpec::shared(
+                    8,
+                    16,
+                    CoreId::first(cores).collect(),
+                    SharingMode::SetSequencer,
+                )])
+                .engine(mode)
+                .build()
+                .expect("valid benchmark configuration")
+        }),
+        workload: Box::new(
+            UniformGen::new(16 * 1024, ops_per_core)
+                .with_seed(11)
+                .with_write_fraction(0.2)
+                .with_cores(cores),
+        ),
+        total_ops: ops_per_core as u64 * u64::from(cores),
     }
 }
 
@@ -138,7 +171,7 @@ fn time_mode(s: &Scenario, mode: EngineMode, iters: usize) -> (f64, predllc_core
     let mut report = None;
     for _ in 0..=iters {
         let t0 = Instant::now();
-        let r = sim.run(&s.workload).expect("benchmark workload completes");
+        let r = sim.run(&*s.workload).expect("benchmark workload completes");
         let dt = t0.elapsed().as_secs_f64();
         if report.is_some() {
             // First run is the warm-up.
@@ -301,11 +334,11 @@ fn obs_overhead_check(total_ops: usize, iters: usize, tolerance: f64) -> bool {
     // bias neither side; first pair is the warm-up.
     for warm in 0..=iters {
         let t0 = Instant::now();
-        let r = sim.run(&s.workload).expect("benchmark workload completes");
+        let r = sim.run(&*s.workload).expect("benchmark workload completes");
         let plain_dt = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
         let rp = sim
-            .run_profiled(&s.workload, Some(&profile))
+            .run_profiled(&*s.workload, Some(&profile))
             .expect("benchmark workload completes");
         let profiled_dt = t1.elapsed().as_secs_f64();
         if warm > 0 {
@@ -366,10 +399,10 @@ fn attribution_overhead_check(total_ops: usize, iters: usize, tolerance: f64) ->
     // bias neither side; first pair is the warm-up.
     for warm in 0..=iters {
         let t0 = Instant::now();
-        let r = off.run(&s.workload).expect("benchmark workload completes");
+        let r = off.run(&*s.workload).expect("benchmark workload completes");
         let off_dt = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let ra = on.run(&s.workload).expect("benchmark workload completes");
+        let ra = on.run(&*s.workload).expect("benchmark workload completes");
         let on_dt = t1.elapsed().as_secs_f64();
         if warm > 0 {
             off_best = off_best.max(s.total_ops as f64 / off_dt);
@@ -441,15 +474,16 @@ fn main() -> ExitCode {
         }
     }
 
-    let (hot_ops, llc_ops, iters) = if quick {
-        (20_000, 64 * 500, 1)
+    let (hot_ops, llc_ops, miss_ops, iters) = if quick {
+        (20_000, 64 * 500, 5_000, 1)
     } else {
-        (1_000_000, 1_000_000, 2)
+        (1_000_000, 1_000_000, 250_000, 2)
     };
     let scenarios = vec![
         private_hit_scenario(hot_ops),
         llc_hit_scenario(64, llc_ops),
         llc_hit_scenario(256, llc_ops),
+        llc_miss_scenario(miss_ops),
     ];
 
     let mut outcomes = Vec::new();

@@ -868,26 +868,28 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                     touched_memory = true;
                     push_mem_event(events, now, slot, owner, traffic);
                 }
-                for &(target, vline) in &res.invalidations {
-                    stats.core_mut(target).back_invalidations += 1;
-                    events.push(
-                        now,
-                        slot,
-                        EventKind::BackInvalidation {
-                            core: target,
-                            line: vline,
-                        },
-                    );
-                }
-                // Dirty remote copies owe a data-carrying ack.
-                for &(target, vline) in &res.ack_required {
-                    cores[target.as_usize()].pwb.push(predllc_bus::WriteBack {
-                        line: vline,
-                        dirty: true,
-                        kind: predllc_bus::WbKind::BackInvalAck,
-                        enqueued_at: now,
-                    });
-                    scratch_acks.push(target.as_usize());
+                if let Some(ev) = res.eviction {
+                    for target in res.invalidations.iter() {
+                        stats.core_mut(target).back_invalidations += 1;
+                        events.push(
+                            now,
+                            slot,
+                            EventKind::BackInvalidation {
+                                core: target,
+                                line: ev.victim,
+                            },
+                        );
+                    }
+                    // Dirty remote copies owe a data-carrying ack.
+                    for target in res.ack_required.iter() {
+                        cores[target.as_usize()].pwb.push(predllc_bus::WriteBack {
+                            line: ev.victim,
+                            dirty: true,
+                            kind: predllc_bus::WbKind::BackInvalAck,
+                            enqueued_at: now,
+                        });
+                        scratch_acks.push(target.as_usize());
+                    }
                 }
                 if let Some(position) = res.sequencer_position {
                     events.push(

@@ -73,12 +73,18 @@ impl SharerSet {
         self.0.count_ones()
     }
 
-    /// Iterates over member cores in index order.
-    pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        let bits = self.0;
-        (0..64u16)
-            .filter(move |i| bits & (1 << i) != 0)
-            .map(CoreId::new)
+    /// Iterates over member cores in index order, one step per member:
+    /// each step takes the lowest set bit and clears it.
+    pub fn iter(&self) -> impl Iterator<Item = CoreId> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let index = bits.trailing_zeros() as u16;
+            bits &= bits - 1;
+            Some(CoreId::new(index))
+        })
     }
 }
 
@@ -178,17 +184,22 @@ pub struct MemTraffic {
 /// `Evict l → WB l` pattern of Figs. 2–4); the entry frees when the last
 /// of those retires. A dirty copy held by the *requester itself*
 /// transfers inline — the requester owns the bus this slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// At most one victim is chosen per slot, so the invalidated cores are
+/// held as [`SharerSet`]s of that one line, [`EvictionInfo::victim`]:
+/// both sets are empty unless [`ServiceResult::eviction`] is set, and
+/// the whole result is `Copy` — servicing a request allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceResult {
     /// The response/blocking outcome.
     pub outcome: ServiceOutcome,
-    /// Private copies invalidated during this slot (all sharers of the
-    /// victim, for events/stats).
-    pub invalidations: Vec<(CoreId, LineAddr)>,
+    /// Cores whose private copy of the victim was invalidated during
+    /// this slot (all sharers of the victim, for events/stats).
+    pub invalidations: SharerSet,
     /// The subset of invalidated sharers whose copy was dirty and who
-    /// must therefore transmit an acknowledgement write-back; the engine
-    /// queues one data-carrying write-back per entry.
-    pub ack_required: Vec<(CoreId, LineAddr)>,
+    /// must therefore transmit an acknowledgement write-back of the
+    /// victim; the engine queues one data-carrying write-back per core.
+    pub ack_required: SharerSet,
     /// Eviction triggered during this service, if any.
     pub eviction: Option<EvictionInfo>,
     /// If the request was newly enqueued in the set sequencer, its queue
@@ -315,7 +326,7 @@ impl SharedLlc {
                     mode: spec.mode,
                     shared: !spec.is_private(),
                     cache: SetAssocCache::new(geometry, replacement),
-                    sequencer: SetSequencer::new(),
+                    sequencer: SetSequencer::new(geometry.sets() as usize),
                     pending: Vec::new(),
                 }
             })
@@ -489,8 +500,8 @@ impl SharedLlc {
         let set = p.cache.set_of(line);
         let mut result = ServiceResult {
             outcome: ServiceOutcome::Blocked(BlockReason::WaitingForEviction),
-            invalidations: Vec::new(),
-            ack_required: Vec::new(),
+            invalidations: SharerSet::EMPTY,
+            ack_required: SharerSet::EMPTY,
             eviction: None,
             sequencer_position: None,
             set,
@@ -593,17 +604,16 @@ impl SharedLlc {
         let mut waiting = SharerSet::EMPTY;
         let mut inline_dirty = false;
         for sharer in victim_sharers.iter() {
-            let dirty = evict(sharer, victim_line);
-            result.invalidations.push((sharer, victim_line));
-            if dirty {
+            if evict(sharer, victim_line) {
                 if sharer == core {
                     inline_dirty = true;
                 } else {
                     waiting.insert(sharer);
-                    result.ack_required.push((sharer, victim_line));
                 }
             }
         }
+        result.invalidations = victim_sharers;
+        result.ack_required = waiting;
         {
             let entry = p.cache.entry_mut(set, victim_way).expect("victim occupied");
             entry.dirty |= inline_dirty;
@@ -839,6 +849,40 @@ mod tests {
         assert_eq!(s2.count(), 2);
     }
 
+    /// The iteration `SharerSet::iter` replaced: all 64 bit positions,
+    /// filtered.
+    fn naive_members(bits: u64) -> Vec<CoreId> {
+        (0..64u16).filter(|i| bits & (1 << i) != 0).map(c).collect()
+    }
+
+    #[test]
+    fn sharer_set_iter_matches_the_naive_bit_filter() {
+        let mut rng = predllc_workload::rng::Rng64::new(0x5eed);
+        let mut masks = vec![
+            0,
+            1,
+            1 << 63,
+            u64::MAX,
+            (1 << 63) | 1,
+            0x8000_0000_0000_00f0,
+        ];
+        for _ in 0..1_000 {
+            let bits = rng.next_u64();
+            // Dense, sparse, and with the top bit forced on.
+            masks.extend([bits, bits & rng.next_u64() & rng.next_u64(), bits | 1 << 63]);
+        }
+        for bits in masks {
+            let set = SharerSet(bits);
+            assert_eq!(
+                set.iter().collect::<Vec<_>>(),
+                naive_members(bits),
+                "{bits:#x}"
+            );
+            assert_eq!(set.iter().count() as u32, set.count(), "{bits:#x}");
+        }
+        assert_eq!(SharerSet::EMPTY.iter().next(), None);
+    }
+
     #[test]
     fn miss_fill_then_hit() {
         let mut llc = shared_llc(SharingMode::BestEffort, 2, 2);
@@ -866,8 +910,8 @@ mod tests {
         );
         let ev = r.eviction.expect("eviction triggered");
         assert_eq!(ev.sharers, 1);
-        assert_eq!(r.invalidations, vec![(c(1), ev.victim)]);
-        assert_eq!(r.ack_required, vec![(c(1), ev.victim)]);
+        assert_eq!(r.invalidations, SharerSet::from_iter([c(1)]));
+        assert_eq!(r.ack_required, SharerSet::from_iter([c(1)]));
         // Retrying before the ack: still blocked, no second eviction.
         let r2 = svc_dirty(&mut llc, c(0), l(2));
         assert_eq!(
@@ -895,7 +939,8 @@ mod tests {
         let r = svc(&mut llc, c(0), l(2));
         assert_eq!(r.outcome, ServiceOutcome::Responded(ResponseKind::Fill));
         let ev = r.eviction.expect("an eviction still happened");
-        assert_eq!(r.invalidations, vec![(c(1), ev.victim)]);
+        assert_eq!(ev.victim, l(0));
+        assert_eq!(r.invalidations, SharerSet::from_iter([c(1)]));
         assert!(r.ack_required.is_empty());
         // Clean data does not go to DRAM.
         assert_eq!(llc.memory_stats().writes, 0);
@@ -926,8 +971,9 @@ mod tests {
         svc(&mut llc, c(1), l(0)); // hit: both c0 and c1 share line 0
         let r = svc_dirty(&mut llc, c(0), l(3));
         // Both invalidated now; only remote c1 owes an ack slot.
-        assert_eq!(r.invalidations, vec![(c(0), l(0)), (c(1), l(0))]);
-        assert_eq!(r.ack_required, vec![(c(1), l(0))]);
+        assert_eq!(r.eviction.unwrap().victim, l(0));
+        assert_eq!(r.invalidations, SharerSet::from_iter([c(0), c(1)]));
+        assert_eq!(r.ack_required, SharerSet::from_iter([c(1)]));
         assert_eq!(
             r.outcome,
             ServiceOutcome::Blocked(BlockReason::WaitingForEviction)
@@ -1019,7 +1065,7 @@ mod tests {
         let r = svc_dirty(&mut llc, c(0), l(5));
         let ev = r.eviction.unwrap();
         assert_eq!(ev.sharers, 2);
-        assert_eq!(r.ack_required.len(), 2);
+        assert_eq!(r.ack_required, SharerSet::from_iter([c(1), c(2)]));
         // First ack: not yet freed.
         let wr = llc.writeback(c(1), ev.victim, true, WbKind::BackInvalAck, Cycles::ZERO);
         assert_eq!(wr.freed, None);

@@ -68,7 +68,9 @@ pub struct GridResult {
     /// attribution on. Never rendered into the classic CSV/JSON rows —
     /// those stay byte-identical either way; see
     /// [`render_attribution_csv`](crate::report::render_attribution_csv).
-    pub attribution: Option<crate::attribution::PointAttribution>,
+    /// Boxed, so an attribution-off row carries one pointer, not the
+    /// summary's inline bytes.
+    pub attribution: Option<Box<crate::attribution::PointAttribution>>,
 }
 
 /// The deduped shard plan of a spec's grid: which declared points

@@ -299,7 +299,7 @@ impl PointMeasurement {
             workload: workload.to_string(),
             backend: backend.to_string(),
             x,
-            attribution: self.attribution.clone(),
+            attribution: self.attribution.clone().map(Box::new),
             requests: self.latency.count(),
             p50: self.latency.percentile(50.0).as_u64(),
             p90: self.latency.percentile(90.0).as_u64(),
@@ -646,7 +646,7 @@ mod tests {
             assert_eq!(shipped, measured, "attribution wire trip lost data");
             // The derived grid row carries the attribution along.
             let row = shipped.to_grid_result("c", "w", &config.memory().label(), 1, None);
-            assert_eq!(row.attribution.as_ref(), Some(attr));
+            assert_eq!(row.attribution.as_deref(), Some(attr));
         }
     }
 
